@@ -91,6 +91,10 @@ TalusCache::Config::validate() const
     else if (ways > llcLines)
         err << "ways (" << ways << ") exceeds llcLines (" << llcLines
             << "); shrink the associativity or grow the cache";
+    else if (ways > SetAssocCache::kMaxWays)
+        err << "ways must be <= " << SetAssocCache::kMaxWays << " (got "
+            << ways << "), the widest set the cache models; lower the "
+            << "associativity";
     else if (numParts < 1)
         err << "numParts must be >= 1 (got " << numParts << ")";
     else if (!knownName(knownPolicies(), policyName))
@@ -178,7 +182,7 @@ TalusCache::TalusCache(const Config& config) : cfg_(config)
         tc.recomputeFromCoarsened = cfg_.scheme == SchemeKind::Way ||
                                     cfg_.scheme == SchemeKind::Set;
         tc.seed = cfg_.routerSeed.value_or(cfg_.seed ^ 0xC11);
-        ctl_ = std::make_unique<TalusController>(std::move(phys), tc);
+        ctl_.emplace(std::move(phys), tc);
 
         // Start from a fair split; single-point curves make every
         // logical partition degenerate (rho = 1) until monitors warm
@@ -189,14 +193,6 @@ TalusCache::TalusCache(const Config& config) : cfg_(config)
         ctl_->configure(
             flat, fair.allocate(flat, ctl_->cache().capacityLines(), 1));
 
-        // Arm the flattened serial fast path (see access()) when the
-        // physical cache runs the fused kernel and metrics are off.
-        if (!cfg_.metricsEnabled) {
-            auto* sc =
-                dynamic_cast<SchemePartitionedCache*>(&ctl_->cache());
-            if (sc != nullptr && sc->fusedKernelActive())
-                fast_ = sc;
-        }
     } else {
         plain_ = makePartitionedCache(cfg_.scheme, cfg_.llcLines,
                                       cfg_.ways, cfg_.policyName,
@@ -208,6 +204,7 @@ TalusCache::TalusCache(const Config& config) : cfg_(config)
     granule_ = std::max<uint64_t>(1, cfg_.llcLines / 64);
     intervalAccesses_.assign(cfg_.numParts, 0);
     monPhase_.assign(cfg_.numParts, 0);
+    armNextStop();
 
     if (cfg_.metricsEnabled) {
         obs_ = std::make_unique<Obs>();
@@ -255,15 +252,8 @@ TalusCache::TalusCache(const Config& config) : cfg_(config)
 TalusCache::~TalusCache() = default;
 
 void
-TalusCache::feedMonitor(PartId part, const Addr* addrs, uint64_t n)
+TalusCache::feedMonitorDecimated(PartId part, const Addr* addrs, uint64_t n)
 {
-    CombinedUMon& mon = monitors_[part];
-    if (cfg_.monitorSamplePeriod == 1) {
-        if (obs_)
-            obs_->parts[part].monSamples->inc(n);
-        mon.accessBlock(Span<const Addr>(addrs, n));
-        return;
-    }
     // Systematic 1-in-N decimation: the partition's phase counter
     // picks every Nth access regardless of chunking, so batch and
     // serial drives observe the identical sub-stream.
@@ -278,79 +268,44 @@ TalusCache::feedMonitor(PartId part, const Addr* addrs, uint64_t n)
     }
     monPhase_[part] = phase;
     if (obs_)
-        obs_->parts[part].monSamples->inc(monScratch_.size());
-    mon.accessBlock(Span<const Addr>(monScratch_.data(),
-                                     monScratch_.size()));
+        obsOnMonitor(part, monScratch_.size());
+    monitors_[part].accessBlock(Span<const Addr>(monScratch_.data(),
+                                                 monScratch_.size()));
+}
+
+void
+TalusCache::obsOnMonitor(PartId part, uint64_t n)
+{
+    obs_->parts[part].monSamples->inc(n);
 }
 
 uint64_t
 TalusCache::accessBatch(Span<const Addr> addrs, PartId part)
 {
-    talus_assert(part < cfg_.numParts, "bad logical partition ", part);
-    if (addrs.size() == 1) {
-        // The serial facade (access() delegates blocks of one here).
-        // A single access never spans a chunk boundary — the loop
-        // below would compute chunk == 1 — so skip the carving and
-        // run the same operations straight-line.
-        const Addr* p = addrs.data();
-        if (cfg_.monitoring)
-            feedMonitor(part, p, 1);
-        const uint64_t hit =
-            cfg_.talus ? ctl_->accessBlock(p, 1, part)
-                       : plain_->accessBatchUniform(p, 1, part);
-        intervalAccesses_[part]++;
-        sinceReconfig_++;
-        accessCount_++;
-        if (obs_)
-            obsOnBatch(part, 1, hit);
-        if (applyAt_ != 0 && accessCount_ >= applyAt_)
-            applyReconfigure();
-        if (cfg_.reconfigInterval > 0 &&
-            sinceReconfig_ >= cfg_.reconfigInterval)
-            reconfigure();
-        return hit;
-    }
-    uint64_t hits = 0;
-    const Addr* p = addrs.data();
-    uint64_t left = addrs.size();
-    while (left > 0) {
-        // Stop each chunk exactly where the serial path would fire an
-        // automatic reconfiguration or a scheduled epoch-deferred
-        // application, so batching cannot slide either point. The
-        // kAccessBlock cap bounds the monitor/router scratch buffers.
-        uint64_t chunk = std::min<uint64_t>(left, kAccessBlock);
-        if (cfg_.reconfigInterval > 0)
-            chunk = std::min<uint64_t>(
-                chunk, cfg_.reconfigInterval - sinceReconfig_);
-        if (applyAt_ != 0)
-            chunk = std::min<uint64_t>(chunk, applyAt_ - accessCount_);
-        // Monitor pass, then access pass. The monitors never read the
-        // cache and the cache never reads the monitors during
-        // accesses, so splitting the passes reaches the same state as
-        // interleaving per address — and each pass runs branch-light
-        // over a block the hash kernels can pipeline.
-        if (cfg_.monitoring)
-            feedMonitor(part, p, chunk);
-        const uint64_t chunk_hits =
-            cfg_.talus ? ctl_->accessBlock(p, chunk, part)
-                       : plain_->accessBatchUniform(p, chunk, part);
-        hits += chunk_hits;
-        intervalAccesses_[part] += chunk;
-        sinceReconfig_ += chunk;
-        accessCount_ += chunk;
-        p += chunk;
-        left -= chunk;
-        if (obs_)
-            obsOnBatch(part, chunk, chunk_hits);
-        // The deferred (older) configuration applies before any
-        // automatic reconfiguration landing on the same access.
-        if (applyAt_ != 0 && accessCount_ >= applyAt_)
-            applyReconfigure();
-        if (cfg_.reconfigInterval > 0 &&
-            sinceReconfig_ >= cfg_.reconfigInterval)
-            reconfigure();
-    }
-    return hits;
+    return accessChunks(addrs.data(), addrs.size(), part);
+}
+
+void
+TalusCache::atStop()
+{
+    // The deferred (older) configuration applies before any automatic
+    // reconfiguration landing on the same access. Both re-arm
+    // nextStop_ (applyControl, snapshotControl).
+    if (applyAt_ != 0 && accessCount_ >= applyAt_)
+        applyReconfigure();
+    if (cfg_.reconfigInterval > 0 &&
+        sinceReconfig_ >= cfg_.reconfigInterval)
+        reconfigure();
+}
+
+void
+TalusCache::armNextStop()
+{
+    nextStop_ = applyAt_ != 0 ? applyAt_ : ~0ull;
+    if (cfg_.reconfigInterval > 0)
+        nextStop_ = std::min(nextStop_, accessCount_ +
+                                            cfg_.reconfigInterval -
+                                            sinceReconfig_);
 }
 
 void
@@ -382,6 +337,7 @@ TalusCache::snapshotControl()
     // reconfiguration clock restarts and the monitors age, whether
     // the computed configuration is applied now or at a later epoch.
     sinceReconfig_ = 0;
+    armNextStop();
     for (auto& mon : monitors_)
         mon.decay();
     return in;
@@ -441,12 +397,14 @@ TalusCache::applyReconfigureAtEpoch(uint64_t epochLen)
                     "must be >= 1 access (the application epoch is a "
                     "fixed access count)");
     applyAt_ = (accessCount_ / epochLen + 1) * epochLen;
+    armNextStop();
 }
 
 void
 TalusCache::applyControl(const ControlOutput& out)
 {
     applyAt_ = 0;
+    armNextStop();
     reconfigurations_++;
     if (cfg_.talus)
         ctl_->configure(out.curves, out.alloc);

@@ -54,6 +54,7 @@
 #include "core/talus_controller.h"
 #include "monitor/combined_umon.h"
 #include "partition/partitioned_cache.h"
+#include "util/log.h"
 #include "util/span.h"
 
 namespace talus {
@@ -174,54 +175,13 @@ class TalusCache
      * Fires reconfigure() automatically every Config::reconfigInterval
      * accesses (when an allocator is configured).
      *
-     * The common configuration (Talus over the fused Vantage+LRU
-     * kernel, metrics off) takes the flattened fast path: monitor
-     * sample, shadow route, and the single-access kernel probe run
-     * straight-line here with zero out-of-line calls — the monitor's
-     * H3 + integer sample compare, the router's limit compare (or the
-     * saturated-limit shortcut), and accessFused1() are all header-
-     * inline. Bit-exact with the generic accessBatch() block-of-one
-     * path: the same operations in the same order, including the
-     * deferred-apply and automatic-reconfiguration checks after the
-     * access. Every other configuration (plain caches, non-LRU
-     * policies, metrics on) delegates to accessBatch() as before.
+     * A chunk of one through the same loop as accessBatch(); the
+     * loop, the routing and the cache's access loop all inline here,
+     * so a serial caller pays no call per layer.
      */
     bool access(Addr addr, PartId part = 0)
     {
-        if (fast_ == nullptr)
-            return accessBatch(Span<const Addr>(&addr, 1), part) != 0;
-        talus_assert(part < cfg_.numParts, "bad logical partition ",
-                     part);
-        if (cfg_.monitoring) {
-            if (cfg_.monitorSamplePeriod == 1) {
-                monitors_[part].accessBlock(
-                    Span<const Addr>(&addr, 1));
-            } else {
-                // The single-access form of feedMonitor's systematic
-                // 1-in-N decimation: sample at phase 0, advance the
-                // phase modulo the period.
-                uint32_t phase = monPhase_[part];
-                if (phase == 0)
-                    monitors_[part].accessBlock(
-                        Span<const Addr>(&addr, 1));
-                monPhase_[part] =
-                    ++phase == cfg_.monitorSamplePeriod ? 0 : phase;
-            }
-        }
-        const ShadowRouter& rt = ctl_->router(part);
-        const PartId phys = rt.alwaysAlpha() || rt.toAlpha(addr)
-                                ? 2 * part
-                                : 2 * part + 1;
-        const bool hit = fast_->accessFused1(addr, phys);
-        intervalAccesses_[part]++;
-        sinceReconfig_++;
-        accessCount_++;
-        if (applyAt_ != 0 && accessCount_ >= applyAt_)
-            applyReconfigure();
-        if (cfg_.reconfigInterval > 0 &&
-            sinceReconfig_ >= cfg_.reconfigInterval)
-            reconfigure();
-        return hit;
+        return accessChunks(&addr, 1, part) != 0;
     }
 
     /**
@@ -231,13 +191,13 @@ class TalusCache
      * epoch-deferred applications fire at the same access counts),
      * but structured as two passes per chunk: a monitor pass (fused
      * H3 hashing + early sampling rejection over the whole chunk)
-     * followed by an access pass (router hashes evaluated in a block,
-     * then the partitioned cache's batched entry point — a
-     * devirtualized fused kernel under Vantage+LRU). Monitors and the
-     * cache share no state within a chunk, and chunks split exactly
-     * at reconfiguration/epoch boundaries, so every observation point
-     * sees bit-identical state. This is the fast path the
-     * trace-replay sims and the sharded engine use.
+     * followed by an access pass (shadow routing, then the
+     * partitioned cache's batched entry point — the fused kernel
+     * under Vantage+LRU). Monitors and the cache share no state within
+     * a chunk, and chunks split exactly at reconfiguration/epoch
+     * boundaries, so every observation point sees bit-identical state.
+     * This is the fast path the trace-replay sims and the sharded
+     * engine use.
      *
      * @return Number of hits in the block.
      */
@@ -364,7 +324,10 @@ class TalusCache
     const PartitionedCacheBase& cache() const;
 
     /** The Talus controller; nullptr when Config::talus is false. */
-    const TalusController* controller() const { return ctl_.get(); }
+    const TalusController* controller() const
+    {
+        return ctl_ ? &*ctl_ : nullptr;
+    }
 
   private:
     /** Batch chunk bound: caps the monitor/router scratch buffers and
@@ -387,24 +350,82 @@ class TalusCache
      *  delta, hull vertices, and per-partition targets/rho. */
     void obsOnApply(const ControlOutput& out);
 
+    /**
+     * The facade's one chunk loop, behind both access() and
+     * accessBatch(). Each chunk stops exactly where the serial path
+     * would fire an automatic reconfiguration or a scheduled
+     * epoch-deferred application (nextStop_), so batching cannot
+     * slide either point; kAccessBlock bounds the scratch buffers.
+     * Per chunk: the monitor pass, then the access pass, then the
+     * bookkeeping. The monitors never read the cache and the cache
+     * never reads the monitors during accesses, so splitting the
+     * passes reaches the same state as interleaving per address.
+     * Always inline, so access() runs it with n == 1 known.
+     */
+    __attribute__((always_inline)) uint64_t
+    accessChunks(const Addr* p, uint64_t left, PartId part)
+    {
+        talus_assert(part < cfg_.numParts, "bad logical partition ",
+                     part);
+        uint64_t hits = 0;
+        while (left > 0) {
+            uint64_t chunk = left < kAccessBlock ? left : kAccessBlock;
+            if (nextStop_ - accessCount_ < chunk)
+                chunk = nextStop_ - accessCount_;
+            talus_assert(chunk > 0, "no chunk fits before access ",
+                         nextStop_);
+            if (cfg_.monitoring)
+                feedMonitor(part, p, chunk);
+            const uint64_t chunk_hits =
+                cfg_.talus ? ctl_->accessBlock(p, chunk, part)
+                           : plain_->accessBatchUniform(p, chunk, part);
+            hits += chunk_hits;
+            intervalAccesses_[part] += chunk;
+            sinceReconfig_ += chunk;
+            accessCount_ += chunk;
+            p += chunk;
+            left -= chunk;
+            if (obs_)
+                obsOnBatch(part, chunk, chunk_hits);
+            if (accessCount_ >= nextStop_)
+                atStop();
+        }
+        return hits;
+    }
+
+    /** Fires what is due at nextStop_: the scheduled deferred
+     *  application, then the automatic reconfiguration. */
+    void atStop();
+
+    /** Recomputes nextStop_; called whenever sinceReconfig_ restarts
+     *  or applyAt_ changes. */
+    void armNextStop();
+
     /** Feeds one chunk to @p part's monitor, applying the 1-in-N
      *  decimation of Config::monitorSamplePeriod. */
-    void feedMonitor(PartId part, const Addr* addrs, uint64_t n);
+    void feedMonitor(PartId part, const Addr* addrs, uint64_t n)
+    {
+        if (cfg_.monitorSamplePeriod != 1) {
+            feedMonitorDecimated(part, addrs, n);
+            return;
+        }
+        if (obs_)
+            obsOnMonitor(part, n);
+        monitors_[part].accessBlock(Span<const Addr>(addrs, n));
+    }
+
+    /** feedMonitor's systematic 1-in-N decimation (period > 1). */
+    void feedMonitorDecimated(PartId part, const Addr* addrs, uint64_t n);
+
+    /** Counts @p n monitor samples of @p part. Only with obs_. */
+    void obsOnMonitor(PartId part, uint64_t n);
 
     /** Pushes one committed control output onto the data path. */
     void applyControl(const ControlOutput& out);
 
     Config cfg_;
     std::vector<CombinedUMon> monitors_;
-    /**
-     * Set iff the flattened serial fast path applies: Talus mode over
-     * a SchemePartitionedCache whose fused Vantage+LRU kernel is
-     * active, with metrics off. Points into ctl_'s physical cache
-     * (stable across moves — the controller owns it by unique_ptr);
-     * null routes access() through the generic accessBatch() path.
-     */
-    SchemePartitionedCache* fast_ = nullptr;
-    std::unique_ptr<TalusController> ctl_;        //!< Talus mode.
+    std::optional<TalusController> ctl_;          //!< Talus mode.
     std::unique_ptr<PartitionedCacheBase> plain_; //!< Baseline mode.
     ControlPlane plane_; //!< Allocator + staged/active control state.
     uint64_t granule_ = 1;
@@ -418,6 +439,9 @@ class TalusCache
     uint64_t accessCount_ = 0; //!< Lifetime accesses (epoch clock).
     uint64_t applyAt_ = 0; //!< Access count of the scheduled deferred
                            //!< application; 0 = none scheduled.
+    /** Access count of the next chunk boundary: the earlier of the
+     *  next automatic reconfiguration and applyAt_; ~0 if neither. */
+    uint64_t nextStop_ = ~0ull;
     std::unique_ptr<Obs> obs_; //!< Null when metrics are off: the
                                //!< off-switch is a null check.
 };

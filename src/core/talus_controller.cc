@@ -28,6 +28,7 @@ TalusController::TalusController(std::unique_ptr<PartitionedCacheBase> phys,
         routers_.back().setRho(1.0); // Everything to alpha until configured.
     }
     shadowCfg_.resize(cfg_.numLogicalParts);
+    schemeCache_ = dynamic_cast<SchemePartitionedCache*>(phys_.get());
 }
 
 bool
@@ -41,36 +42,15 @@ TalusController::access(Addr addr, PartId part)
 }
 
 uint64_t
-TalusController::accessBlock(const Addr* addrs, uint64_t n, PartId part)
+TalusController::accessBlockArray(const Addr* addrs, uint64_t n,
+                                  PartId part)
 {
-    talus_assert(part < cfg_.numLogicalParts, "bad logical partition ",
-                 part);
-    if (n == 0)
-        return 0;
-    const ShadowRouter& router = routers_[part];
-    if (router.alwaysAlpha()) {
-        // Saturated limit register: every address goes to alpha, so
-        // skip the hash pass and drive the uniform batched entry
-        // (identical to a routed block whose partitions are all
-        // alpha). Degenerate partitions — including every partition
-        // before its first real configuration — take this path.
-        return phys_->accessBatchUniform(addrs, n, 2 * part);
-    }
-    if (n == 1) {
-        // Serial fast path: one hash, one routed access, no scratch.
-        const PartId phys = router.toAlpha(addrs[0]) ? 2 * part
-                                                     : 2 * part + 1;
-        return phys_->accessBatchRouted(addrs, &phys, 1);
-    }
-    routeHash_.resize(n);
+    const ShadowRouter& rt = routers_[part];
+    const bool all_alpha = rt.alwaysAlpha();
     routeParts_.resize(n);
-    router.hashFn().hashBlock(Span<const Addr>(addrs, n),
-                              routeHash_.data());
-    const uint64_t limit = router.limit();
-    const PartId alpha = 2 * part;
-    const PartId beta = 2 * part + 1;
     for (uint64_t i = 0; i < n; ++i)
-        routeParts_[i] = routeHash_[i] < limit ? alpha : beta;
+        routeParts_[i] =
+            all_alpha || rt.toAlpha(addrs[i]) ? 2 * part : 2 * part + 1;
     return phys_->accessBatchRouted(addrs, routeParts_.data(), n);
 }
 

@@ -31,6 +31,7 @@
 #include "core/shadow_router.h"
 #include "core/talus_config.h"
 #include "partition/partitioned_cache.h"
+#include "util/log.h"
 
 namespace talus {
 
@@ -62,15 +63,31 @@ class TalusController
 
     /**
      * Routes and performs a whole block of accesses for one logical
-     * partition — bit-exact with calling access() per address. The
-     * router's H3 is evaluated once over the block (hashBlock into a
-     * reusable scratch buffer), the alpha/beta decisions become a
-     * physical-partition array, and the physical cache consumes the
-     * block through its batched entry point.
+     * partition — bit-exact with calling access() per address. Over a
+     * SchemePartitionedCache the router runs per access inside the
+     * cache's (inline) access loop, so the whole block runs in the
+     * caller's frame; other caches get a physical-partition array
+     * through their batched entry point.
      *
      * @return Number of hits in the block.
      */
-    uint64_t accessBlock(const Addr* addrs, uint64_t n, PartId part);
+    __attribute__((always_inline)) uint64_t
+    accessBlock(const Addr* addrs, uint64_t n, PartId part)
+    {
+        talus_assert(part < cfg_.numLogicalParts,
+                     "bad logical partition ", part);
+        if (schemeCache_ == nullptr)
+            return accessBlockArray(addrs, n, part);
+        // A saturated limit register sends every address to alpha
+        // (every partition starts there), so the hash is skipped.
+        const ShadowRouter& rt = routers_[part];
+        const bool all_alpha = rt.alwaysAlpha();
+        const PartId alpha = 2 * part;
+        return schemeCache_->accessRoutedBy(
+            addrs, n, [&rt, all_alpha, alpha](uint64_t, Addr a) {
+                return all_alpha || rt.toAlpha(a) ? alpha : alpha + 1;
+            });
+    }
 
     /**
      * Pre-processing: convex hulls of monitored miss curves, in the
@@ -94,8 +111,7 @@ class TalusController
     /** Last applied shadow configuration of logical partition @p p. */
     const TalusConfig& configOf(PartId p) const;
 
-    /** The sampling router of logical partition @p p — the flattened
-     *  facade fast path routes inline against it. */
+    /** The sampling router of logical partition @p p. */
     const ShadowRouter& router(PartId p) const { return routers_[p]; }
 
     /** Effective (quantized) routing rate of partition @p p. */
@@ -118,12 +134,18 @@ class TalusController
     void nextInterval() { phys_->nextInterval(); }
 
   private:
+    /** accessBlock over a cache other than SchemePartitionedCache:
+     *  alpha/beta decisions into a scratch partition array, then the
+     *  routed batch entry. */
+    uint64_t accessBlockArray(const Addr* addrs, uint64_t n, PartId part);
+
     Config cfg_;
     std::unique_ptr<PartitionedCacheBase> phys_;
+    /** phys_ as a SchemePartitionedCache, or null (Ideal caches). */
+    SchemePartitionedCache* schemeCache_ = nullptr;
     std::vector<ShadowRouter> routers_;
     std::vector<TalusConfig> shadowCfg_;
-    std::vector<uint32_t> routeHash_;  //!< accessBlock hash scratch.
-    std::vector<PartId> routeParts_;   //!< accessBlock routing scratch.
+    std::vector<PartId> routeParts_; //!< accessBlock routing scratch.
 };
 
 } // namespace talus

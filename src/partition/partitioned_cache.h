@@ -105,13 +105,10 @@ class PartitionedCacheBase
     virtual void nextInterval() {}
 };
 
-/**
- * 32-bit fold of a line address, used as a probe fingerprint by the
- * fused kernels: a whole 16-way row of fingerprints fits one cache
- * line, so the common probe touches half the lines the full tag row
- * would. Any fold works — a colliding fingerprint only costs a
- * verification load against the canonical tag, never correctness.
- */
+/** Helpers of the fused Vantage+LRU kernel (SchemePartitionedCache). */
+namespace fused {
+
+/** 32-bit fold of a line address: the kernel's probe fingerprint. */
 inline uint32_t
 tagFingerprint(Addr a)
 {
@@ -119,22 +116,14 @@ tagFingerprint(Addr a)
 }
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#define TALUS_FUSED1_AVX2 1
-#endif
+#define TALUS_KERNEL_AVX2 1
 
-#if TALUS_FUSED1_AVX2
-/**
- * AVX2 specializations of the single-access kernel's two 16-way
- * loops. The serial facade inlines accessFused1 into plain-baseline
- * callers, where GCC's auto-vectorizer never fires (unlike the
- * target_clones'd batch kernel), so the hot row scans run ~64 scalar
- * ops each; these hand-written bodies do the same work in a handful
- * of vector ops behind one predictable cpu-support branch. Both are
- * bit-exact with the scalar loops: the probe is pure lane-wise
- * equality, and the argmin reduces unique keys, so the minimum is
- * order-independent.
- */
-namespace fused1 {
+// AVX2 forms of the kernel's two 16-way row scans, behind one
+// predictable cpu-support branch: the library builds for the baseline
+// ISA, where the compiler leaves these loops scalar. Both are
+// bit-exact with the scalar loops: the probe is pure lane-wise
+// equality, and the argmin reduces unique keys, so the minimum is
+// order-independent.
 
 /** True once at startup iff the host executes AVX2. */
 inline const bool kHaveAvx2 = __builtin_cpu_supports("avx2");
@@ -144,10 +133,10 @@ __attribute__((target("avx2"))) inline uint64_t
 probeRow16(const uint32_t* row, uint32_t fp)
 {
     const __m256i needle = _mm256_set1_epi32(static_cast<int>(fp));
-    const __m256i lo = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(row));
-    const __m256i hi = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(row + 8));
+    const __m256i lo =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row));
+    const __m256i hi =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + 8));
     const uint32_t mlo = static_cast<uint32_t>(_mm256_movemask_ps(
         _mm256_castsi256_ps(_mm256_cmpeq_epi32(lo, needle))));
     const uint32_t mhi = static_cast<uint32_t>(_mm256_movemask_ps(
@@ -157,7 +146,7 @@ probeRow16(const uint32_t* row, uint32_t fp)
 
 /**
  * Way of the minimum packed key ((stamp << 6) | way, excluded ways
- * saturated to all-ones) over a 16-way stamp row. @p m != 0. AVX2 has
+ * saturated to all-ones) over a 16-way stamp row; @p m != 0. AVX2 has
  * no unsigned 64-bit min, so lanes are compared with the sign bit
  * flipped (signed greater-than over biased values == unsigned).
  */
@@ -166,12 +155,12 @@ argminRow16(const uint64_t* srow, uint64_t m)
 {
     const __m256i one = _mm256_set1_epi64x(1);
     const __m256i mv = _mm256_set1_epi64x(static_cast<long long>(m));
-    const __m256i sgn = _mm256_set1_epi64x(
-        static_cast<long long>(0x8000000000000000ull));
+    const __m256i sgn =
+        _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ull));
     __m256i best = _mm256_set1_epi64x(-1);
     for (uint32_t g = 0; g < 4; ++g) {
-        const __m256i widx = _mm256_setr_epi64x(
-            g * 4, g * 4 + 1, g * 4 + 2, g * 4 + 3);
+        const __m256i widx =
+            _mm256_setr_epi64x(g * 4, g * 4 + 1, g * 4 + 2, g * 4 + 3);
         // excl = (bit set ? 0 : ~0), as (bit & 1) - 1.
         const __m256i bit =
             _mm256_and_si256(_mm256_srlv_epi64(mv, widx), one);
@@ -192,11 +181,29 @@ argminRow16(const uint64_t* srow, uint64_t m)
     k = lanes[3] < k ? lanes[3] : k;
     return static_cast<uint32_t>(k & 63);
 }
+#endif
 
-} // namespace fused1
-#endif // TALUS_FUSED1_AVX2
+} // namespace fused
 
-/** A SetAssocCache driven through a PartitionScheme. */
+/**
+ * A SetAssocCache driven through a PartitionScheme.
+ *
+ * Every access has one semantics, the generic path's:
+ * SetAssocCache::access() with its scheme and policy hooks. For the
+ * configuration every Talus experiment and serving workload runs —
+ * VantageScheme over exactly LruPolicy, at most 64 ways — the class
+ * runs a fused, devirtualized kernel instead, which replicates that
+ * path bit for bit. The kernel has one single-access body
+ * (fusedAccessOne: fingerprint probe, LRU argmin, victim selection and
+ * demotion over per-set way masks) and one loop over it
+ * (accessRoutedBy), which adds only a set-index precompute and a
+ * prefetch lookahead. Every entry point is that loop: access() at
+ * n == 1, the batched entries at any n, and TalusController's routed
+ * blocks, which pass their shadow router as the loop's routing
+ * function. Every other configuration (other policies and schemes,
+ * wider sets) takes the generic path through the same loop; it is
+ * also the test oracle for the kernel (tests/kernel_oracle_test.cc).
+ */
 class SchemePartitionedCache : public PartitionedCacheBase
 {
   public:
@@ -227,256 +234,34 @@ class SchemePartitionedCache : public PartitionedCacheBase
     /** Underlying cache, for tests and monitors. */
     SetAssocCache& cache() { return cache_; }
 
-    /** True when the fused Vantage+LRU batch kernel is active (the
-     *  scheme is VantageScheme and the policy is exactly LRU). */
-    bool fusedKernelActive() const { return fusedLru_ != nullptr; }
-
     /**
-     * The single-access specialization of the fused kernel, header-
-     * inline so the TalusCache facade's flattened serial path pays no
-     * out-of-line call for a whole access (monitor sample + route +
-     * this probe run straight-line in the caller). Bit-exact with
-     * fusedBatch(&addr, nullptr, 1, part): the same operations in the
-     * same order, minus the block-only machinery (set precompute,
-     * prefetch lookahead) that is a no-op at n == 1.
-     *
-     * Ownership is derived from the per-set masks instead of the
-     * lparts/valid arrays (the struct-of-arrays layout the kernel
-     * maintains): a hit way is unmanaged iff its umk bit is set, a
-     * victim's owner is implied by which mask selected it, and an
-     * invalid-way victim needs no eviction bookkeeping at all. The
-     * canonical arrays are still written on every mutation, so
-     * external readers (the generic path, tests, invalidation) always
-     * see the same state.
-     *
-     * Caller must check fusedKernelActive() first.
-     *
-     * always_inline because this is the whole point of the flattened
-     * facade path: at ~150 statements GCC's inliner judges the body
-     * too big and emits a call, which reintroduces exactly the
-     * per-access call overhead the facade flattening removed.
+     * The access loop behind every entry point: @p n accesses, access
+     * i by partition @p route(i, addrs[i]). Bit-exact with calling
+     * access() per element. Inline, so a caller that routes per
+     * access (TalusController) runs the whole kernel in its own frame.
+     * @return Number of hits.
      */
-    __attribute__((always_inline)) inline bool
-    accessFused1(Addr addr, PartId part)
-    {
-        if (maskEpoch_ != cache_.mutationEpoch())
-            rebuildMasks();
-        const FusedCtx& c = ctx_;
-        const uint32_t ways = c.ways;
-        const uint32_t nparts = c.nparts;
-        talus_assert(part < nparts, "bad partition id ", part);
-        talus_assert(addr != SetAssocCache::kInvalidTag,
-                     "address aliases the invalid-tag sentinel");
-        const uint64_t h = c.hashed ? mix64(addr ^ c.hashSeed) : addr;
-        const uint32_t set =
-            c.setsPow2 ? static_cast<uint32_t>(h & c.setMask)
-                       : static_cast<uint32_t>(h % c.sets);
-        const uint32_t base = set * ways;
-        Addr* tags = c.tags;
-        uint64_t* stamps = c.stamps;
-        uint64_t* umk = c.umk;
-        uint64_t* pmk = c.pmk;
-        uint32_t* fpt = c.fpt;
-
-        // Touch the stamp row and masks before the probe resolves:
-        // every access writes a stamp (hit promotion or insert) and
-        // reads the set's masks, but those loads sit behind the
-        // hit/miss branch — hoisted prefetches overlap their latency
-        // with the fingerprint probe instead of serializing after it.
-        __builtin_prefetch(&stamps[base], 1);
-        __builtin_prefetch(&stamps[base + ways - 1], 1);
-        __builtin_prefetch(&umk[set], 1);
-        __builtin_prefetch(&pmk[static_cast<size_t>(set) * nparts], 1);
-
-        // Probe the 32-bit fingerprint row — one cache line covers all
-        // 16 ways, where the full tag row needs two. A fingerprint
-        // match is only a candidate: it is verified against the
-        // canonical tag below, so fold collisions cost a verify, never
-        // correctness. No fingerprint match is a definite miss (the
-        // fold is a function of the address), in which case the full
-        // tag row is never read at all.
-        const uint32_t fp = tagFingerprint(addr);
-        uint64_t m_fp = 0;
-#if TALUS_FUSED1_AVX2
-        if (ways == 16 && fused1::kHaveAvx2) {
-            m_fp = fused1::probeRow16(fpt + base, fp);
-        } else
-#endif
-        {
-            for (uint32_t w = 0; w < ways; ++w) {
-                m_fp |= static_cast<uint64_t>(fpt[base + w] == fp)
-                        << w;
-            }
-        }
-        uint64_t m_match = 0;
-        while (m_fp != 0) {
-            const uint32_t w =
-                static_cast<uint32_t>(__builtin_ctzll(m_fp));
-            if (tags[base + w] == addr) {
-                m_match = 1ull << w;
-                break; // Tags are unique per set; lowest way first.
-            }
-            m_fp &= m_fp - 1;
-        }
-        c.accRaw[part]++;
-
-        // Same packed-key branchless argmin as fusedBatch (see the
-        // kernel for the full rationale); m != 0 guaranteed.
-        const auto argminStamp = [&](uint64_t m) -> uint32_t {
-#if TALUS_FUSED1_AVX2
-            if (ways == 16 && fused1::kHaveAvx2)
-                return base + fused1::argminRow16(stamps + base, m);
-#endif
-            uint64_t best = ~0ull;
-            if (ways == 16) {
-                for (uint32_t w = 0; w < 16; ++w) {
-                    const uint64_t excl = -(((m >> w) & 1) ^ 1ull);
-                    const uint64_t key =
-                        ((stamps[base + w] << 6) | w) | excl;
-                    best = key < best ? key : best;
-                }
-            } else {
-                for (uint32_t w = 0; w < ways; ++w) {
-                    const uint64_t excl = -(((m >> w) & 1) ^ 1ull);
-                    const uint64_t key =
-                        ((stamps[base + w] << 6) | w) | excl;
-                    best = key < best ? key : best;
-                }
-            }
-            return base + static_cast<uint32_t>(best & 63);
-        };
-
-        const auto demote = [&](uint32_t inserted, PartId p) {
-            if (c.occ[p] <= c.targets[p] || c.targets[p] == 0)
-                return;
-            const uint64_t m =
-                pmk[static_cast<size_t>(set) * nparts + p] &
-                ~(1ull << (inserted - base));
-            if (m == 0)
-                return;
-            const uint32_t demoted = argminStamp(m);
-            c.lparts[demoted] = kNoPart;
-            c.occ[p]--;
-            (*c.unmanaged)++;
-            pmk[static_cast<size_t>(set) * nparts + p] &=
-                ~(1ull << (demoted - base));
-            umk[set] |= 1ull << (demoted - base);
-        };
-
-        if (m_match != 0) {
-            const uint32_t hw =
-                static_cast<uint32_t>(__builtin_ctzll(m_match));
-            const uint32_t hit_line = base + hw;
-            c.hitRaw[part]++;
-            stamps[hit_line] = ++*c.clock;
-            if ((umk[set] >> hw) & 1) {
-                // Promotion — the hit way's umk bit says it was
-                // unmanaged (masks track exactly valid+kNoPart).
-                c.lparts[hit_line] = part;
-                c.occ[part]++;
-                if (*c.unmanaged > 0)
-                    (*c.unmanaged)--;
-                umk[set] &= ~(1ull << hw);
-                pmk[static_cast<size_t>(set) * nparts + part] |= 1ull
-                                                                 << hw;
-                demote(hit_line, part);
-            }
-            return true;
-        }
-
-        // Miss: invalid way first (no eviction bookkeeping — an
-        // invalid tag implies !valid), else unmanaged LRU (owner is
-        // kNoPart by construction), else the LRU of the most
-        // over-target partition present (owner == worst). The invalid
-        // ways fall out of the masks the miss path loads anyway — the
-        // masks cover exactly the valid lines (umk = valid+kNoPart,
-        // pmk = valid+owner), so their complement over the way range
-        // is precisely the invalid set, in way order. No tag scan.
-        uint64_t m_valid = umk[set];
-        for (uint32_t q = 0; q < nparts; ++q)
-            m_valid |= pmk[static_cast<size_t>(set) * nparts + q];
-        const uint64_t way_span =
-            ways == 64 ? ~0ull : (1ull << ways) - 1;
-        const uint64_t m_inval = ~m_valid & way_span;
-        uint32_t victim;
-        if (m_inval != 0) {
-            victim =
-                base + static_cast<uint32_t>(__builtin_ctzll(m_inval));
-        } else {
-            const uint64_t mu = umk[set];
-            if (mu != 0) {
-                // A one-bit mask needs no stamp scan — the argmin of a
-                // singleton is its only member.
-                victim = (mu & (mu - 1)) == 0
-                             ? base + static_cast<uint32_t>(
-                                          __builtin_ctzll(mu))
-                             : argminStamp(mu);
-                cache_.stats().addEvictions(1);
-                if (*c.unmanaged > 0)
-                    (*c.unmanaged)--;
-                umk[set] &= ~(1ull << (victim - base));
-            } else {
-                // The rare set-conflict scan. The plain divide is the
-                // generic path's exact computation (the batched
-                // kernel's FMA-corrected reciprocal rounds
-                // identically); once per conflict miss it costs less
-                // than priming the reciprocal pipeline here would.
-                PartId worst = kNoPart;
-                double worst_ratio = -1.0;
-                uint32_t worst_first = 64;
-                for (uint32_t q = 0; q < nparts; ++q) {
-                    const uint64_t mq =
-                        pmk[static_cast<size_t>(set) * nparts + q];
-                    if (mq == 0)
-                        continue;
-                    const double ratio =
-                        c.targets[q] == 0
-                            ? 1e18
-                            : static_cast<double>(c.occ[q]) /
-                                  static_cast<double>(c.targets[q]);
-                    const uint32_t first =
-                        static_cast<uint32_t>(__builtin_ctzll(mq));
-                    if (ratio > worst_ratio ||
-                        (ratio == worst_ratio &&
-                         first < worst_first)) {
-                        worst_ratio = ratio;
-                        worst = q;
-                        worst_first = first;
-                    }
-                }
-                talus_assert(worst != kNoPart,
-                             "set full of foreign lines");
-                victim = argminStamp(
-                    pmk[static_cast<size_t>(set) * nparts + worst]);
-                cache_.stats().addEvictions(1);
-                if (c.occ[worst] > 0)
-                    c.occ[worst]--;
-                pmk[static_cast<size_t>(set) * nparts + worst] &=
-                    ~(1ull << (victim - base));
-            }
-        }
-        tags[victim] = addr;
-        fpt[victim] = fp;
-        c.valid[victim] = 1;
-        c.lparts[victim] = part;
-        stamps[victim] = ++*c.clock;
-        c.occ[part]++;
-        pmk[static_cast<size_t>(set) * nparts + part] |=
-            1ull << (victim - base);
-        demote(victim, part);
-        return false;
-    }
+    template <class Route>
+    uint64_t accessRoutedBy(const Addr* addrs, uint64_t n, Route route);
 
   private:
-    /** The fused Vantage+LRU batch kernel: one devirtualized loop
-     *  replicating access() exactly. @p route is per-address
-     *  partitions or nullptr for uniform @p upart. */
-    uint64_t fusedBatch(const Addr* addrs, const PartId* route,
-                        uint64_t n, PartId upart);
+    /** The loop over an optional partition array: access i by
+     *  @p route[i], or by @p upart when @p route is null. The single
+     *  out-of-line instance behind the virtual entry points. */
+    uint64_t accessArray(const Addr* addrs, const PartId* route,
+                         uint64_t n, PartId upart);
 
-    /** Rebuilds the per-set occupancy masks from the line arrays and
-     *  records the cache's mutation epoch. Called lazily by
-     *  fusedBatch when someone mutated lines behind its back. */
+    /** The fused kernel's single-access body; @p set is the set index
+     *  of @p addr. */
+    bool fusedAccessOne(Addr addr, PartId part, uint32_t set);
+
+    /** Set index of @p addr, as SetAssocCache::defaultSetIndex. */
+    uint32_t fusedSetOf(Addr addr) const;
+
+    /** Rebuilds the per-set masks and fingerprints from the line
+     *  arrays, recaptures the kernel context, and records the cache's
+     *  mutation epoch. Called lazily by the kernel when someone
+     *  mutated lines (or targets) behind its back. */
     void rebuildMasks();
 
     SetAssocCache cache_;
@@ -484,47 +269,34 @@ class SchemePartitionedCache : public PartitionedCacheBase
     LruPolicy* fusedLru_ = nullptr;         //!< Set iff kernel usable.
 
     /**
-     * Per-set way bitmaps mirroring the line arrays, so the kernel's
-     * victim scans only visit relevant ways (bit order == way order,
-     * preserving the generic scan order exactly). unmanagedMask_[s]
-     * has bit w set iff line s*ways+w is valid and unmanaged;
-     * partMask_[s*nparts+p] iff it is valid and owned by p. Invalid
-     * lines appear in neither. Valid only while maskEpoch_ matches
-     * cache_.mutationEpoch().
+     * Per-set way bitmaps mirroring the line arrays, so the kernel
+     * finds invalid ways, owners and victim candidates without
+     * scanning lines (bit order == way order, preserving the generic
+     * scan order exactly). unmanagedMask_[s] has bit w set iff line
+     * s*ways+w is valid and unmanaged; partMask_[s*nparts+p] iff it is
+     * valid and owned by p. Invalid lines appear in neither. Valid
+     * only while maskEpoch_ matches cache_.mutationEpoch().
      */
     CacheAlignedVec<uint64_t> unmanagedMask_;
     CacheAlignedVec<uint64_t> partMask_;
 
     /**
-     * Per-line tagFingerprint() mirror of the tag array (flat line
-     * index, like tags). Probed by accessFused1 and kept in sync by
-     * both kernels' insert paths; rebuilt with the masks whenever the
-     * generic path mutates lines. Fingerprints of invalid lines are
-     * the fold of kInvalidTag — harmless, since every fingerprint
-     * match is verified against the canonical tag.
+     * Per-line 32-bit fingerprint (low32 ^ high32) of the tag array,
+     * indexed like the tags: a whole 16-way row fits one cache line,
+     * so the probe touches half the lines the tag row would. A match
+     * is verified against the canonical tag, so a collision costs a
+     * load, never correctness. Fingerprints of invalid lines are the
+     * fold of kInvalidTag, which is harmless for the same reason.
      */
     CacheAlignedVec<uint32_t> fpTags_;
     uint64_t maskEpoch_ = ~0ull; //!< Forces the initial rebuild.
     std::vector<uint32_t> setScratch_; //!< Precomputed set indices.
 
     /**
-     * Per-partition reciprocals of the Vantage targets, refreshed by
-     * rebuildMasks() (setTargets() invalidates maskEpoch_, so a stale
-     * reciprocal can never be read). The kernel's worst-partition
-     * scan divides occupancy by target per present partition per
-     * set-conflict miss; with the reciprocal precomputed, the divide
-     * becomes an FMA-corrected multiply (see fusedBatch) that yields
-     * the exact same correctly-rounded quotient. Entries for
-     * zero targets are never read (the scan's sentinel branch fires
-     * first).
-     */
-    std::vector<double> recipTargets_;
-
-    /**
      * Kernel context captured at rebuildMasks() time: every pointer
-     * and geometry field fusedBatch needs, packed so a single-access
-     * call reads one struct instead of chasing through four objects.
-     * All pointers are stable between rebuilds — the paths that could
+     * and geometry field the kernel needs, packed so an access reads
+     * one struct instead of chasing through four objects. All
+     * pointers are stable between rebuilds — the paths that could
      * reseat them (generic access, invalidation, setTargets) bump the
      * mutation epoch or invalidate maskEpoch_ directly.
      */
@@ -537,7 +309,6 @@ class SchemePartitionedCache : public PartitionedCacheBase
         uint64_t* clock;
         uint64_t* occ;
         const uint64_t* targets;
-        const double* recipTargets;
         uint64_t* unmanaged;
         uint64_t* umk;
         uint64_t* pmk;
@@ -554,6 +325,252 @@ class SchemePartitionedCache : public PartitionedCacheBase
     };
     FusedCtx ctx_{};
 };
+
+inline uint32_t
+SchemePartitionedCache::fusedSetOf(Addr addr) const
+{
+    const FusedCtx& c = ctx_;
+    const uint64_t h = c.hashed ? mix64(addr ^ c.hashSeed) : addr;
+    return c.setsPow2 ? static_cast<uint32_t>(h & c.setMask)
+                      : static_cast<uint32_t>(h % c.sets);
+}
+
+// The whole single-access body, in the generic path's operation order
+// (probe -> stats -> stamp -> promote or victim -> evict bookkeeping
+// -> insert -> demote). Every counter the generic path's virtual
+// hooks would touch is updated inline, so the state after any prefix
+// of a block is bit-identical to SetAssocCache::access() over
+// VantageScheme + LruPolicy.
+//
+// Ownership comes from the per-set masks rather than lparts/valid: a
+// hit way is unmanaged iff its umk bit is set, a victim's owner is
+// implied by the mask that selected it, and an invalid-way victim
+// needs no eviction bookkeeping at all. The canonical line arrays are
+// still written on every mutation, so external readers (the generic
+// path, tests, invalidation) always see the same state.
+//
+// always_inline: accessRoutedBy() is its only caller, and inlining
+// keeps the probe, LRU touch and miss path in one register state.
+__attribute__((always_inline)) inline bool
+SchemePartitionedCache::fusedAccessOne(Addr addr, PartId part,
+                                       uint32_t set)
+{
+    const FusedCtx& c = ctx_;
+    const uint32_t ways = c.ways;
+    const uint32_t nparts = c.nparts;
+    talus_assert(part < nparts, "bad partition id ", part);
+    talus_assert(addr != SetAssocCache::kInvalidTag,
+                 "address aliases the invalid-tag sentinel");
+    const uint32_t base = set * ways;
+    Addr* tags = c.tags;
+    uint64_t* stamps = c.stamps;
+    uint64_t* umk = c.umk;
+    uint64_t* pmk = c.pmk + static_cast<size_t>(set) * nparts;
+    uint32_t* fpt = c.fpt;
+
+    // Touch the stamp row and masks before the probe resolves: every
+    // access writes a stamp (hit promotion or insert) and reads the
+    // set's masks, but those loads sit behind the hit/miss branch, so
+    // these prefetches overlap their latency with the probe.
+    __builtin_prefetch(&stamps[base], 1);
+    __builtin_prefetch(&stamps[base + ways - 1], 1);
+    __builtin_prefetch(&umk[set], 1);
+    __builtin_prefetch(pmk, 1);
+
+    // Probe the fingerprint row. A fingerprint match is only a
+    // candidate, verified against the canonical tag; no match is a
+    // definite miss (the fold is a function of the address), and then
+    // the tag row is never read. Tags are unique per set, so the
+    // lowest verified way is the generic scan's hit way.
+    const uint32_t fp = fused::tagFingerprint(addr);
+    uint64_t m_fp = 0;
+#if TALUS_KERNEL_AVX2
+    if (ways == 16 && fused::kHaveAvx2) {
+        m_fp = fused::probeRow16(fpt + base, fp);
+    } else
+#endif
+    {
+        for (uint32_t w = 0; w < ways; ++w)
+            m_fp |= static_cast<uint64_t>(fpt[base + w] == fp) << w;
+    }
+    uint64_t m_match = 0;
+    while (m_fp != 0) {
+        const uint32_t w = static_cast<uint32_t>(__builtin_ctzll(m_fp));
+        if (tags[base + w] == addr) {
+            m_match = 1ull << w;
+            break;
+        }
+        m_fp &= m_fp - 1;
+    }
+    c.accRaw[part]++;
+
+    // LRU argmin over the ways selected by mask @p m (m != 0). The LRU
+    // clock stamps every touch with a fresh ++clock, so stamps are
+    // unique and the minimum needs no way-order tie-break: packing
+    // (stamp << 6) | way turns the walk into a pure min-reduction.
+    // Excluded ways get an all-ones key above any real one (stamps
+    // stay far below 2^57 for any feasible run).
+    const auto argminStamp = [&](uint64_t m) -> uint32_t {
+#if TALUS_KERNEL_AVX2
+        if (ways == 16 && fused::kHaveAvx2)
+            return base + fused::argminRow16(stamps + base, m);
+#endif
+        uint64_t best = ~0ull;
+        for (uint32_t w = 0; w < ways; ++w) {
+            const uint64_t excl = -(((m >> w) & 1) ^ 1ull);
+            const uint64_t key = ((stamps[base + w] << 6) | w) | excl;
+            best = key < best ? key : best;
+        }
+        return base + static_cast<uint32_t>(best & 63);
+    };
+
+    // VantageScheme::demoteIfOverTarget: demote p's LRU line in this
+    // set, other than the one just inserted or promoted.
+    const auto demote = [&](uint32_t inserted, PartId p) {
+        if (c.occ[p] <= c.targets[p] || c.targets[p] == 0)
+            return;
+        const uint64_t m = pmk[p] & ~(1ull << (inserted - base));
+        if (m == 0)
+            return; // Cannot demote within this set; converges later.
+        const uint32_t demoted = argminStamp(m);
+        c.lparts[demoted] = kNoPart;
+        c.occ[p]--;
+        (*c.unmanaged)++;
+        pmk[p] &= ~(1ull << (demoted - base));
+        umk[set] |= 1ull << (demoted - base);
+    };
+
+    if (m_match != 0) {
+        const uint32_t hw = static_cast<uint32_t>(__builtin_ctzll(m_match));
+        const uint32_t hit_line = base + hw;
+        c.hitRaw[part]++;
+        stamps[hit_line] = ++*c.clock;
+        if ((umk[set] >> hw) & 1) {
+            // Promotion: an unmanaged line that hits rejoins the
+            // accessing partition, rebalancing immediately.
+            c.lparts[hit_line] = part;
+            c.occ[part]++;
+            if (*c.unmanaged > 0)
+                (*c.unmanaged)--;
+            umk[set] &= ~(1ull << hw);
+            pmk[part] |= 1ull << hw;
+            demote(hit_line, part);
+        }
+        return true;
+    }
+
+    // Miss: invalid way first, else the unmanaged LRU, else the LRU of
+    // the most over-target partition present. The masks cover exactly
+    // the valid lines, so their complement over the way range is the
+    // invalid set, in way order — no tag scan.
+    uint64_t m_valid = umk[set];
+    for (uint32_t q = 0; q < nparts; ++q)
+        m_valid |= pmk[q];
+    const uint64_t way_span = ways == 64 ? ~0ull : (1ull << ways) - 1;
+    const uint64_t m_inval = ~m_valid & way_span;
+    uint32_t victim;
+    if (m_inval != 0) {
+        victim = base + static_cast<uint32_t>(__builtin_ctzll(m_inval));
+    } else if (const uint64_t mu = umk[set]; mu != 0) {
+        // A one-bit mask needs no stamp scan.
+        victim = (mu & (mu - 1)) == 0
+                     ? base + static_cast<uint32_t>(__builtin_ctzll(mu))
+                     : argminStamp(mu);
+        cache_.stats().addEvictions(1);
+        if (*c.unmanaged > 0)
+            (*c.unmanaged)--;
+        umk[set] &= ~(1ull << (victim - base));
+    } else {
+        // The rare set-conflict scan. The generic path walks ways in
+        // order and keeps the first strictly greater occupancy/target
+        // ratio, so among partitions tied at the maximum it picks the
+        // one whose first way in this set is earliest; iterating
+        // partitions with that explicit tie-break is equivalent.
+        PartId worst = kNoPart;
+        double worst_ratio = -1.0;
+        uint32_t worst_first = 64;
+        for (uint32_t q = 0; q < nparts; ++q) {
+            if (pmk[q] == 0)
+                continue;
+            const double ratio =
+                c.targets[q] == 0
+                    ? 1e18
+                    : static_cast<double>(c.occ[q]) /
+                          static_cast<double>(c.targets[q]);
+            const uint32_t first =
+                static_cast<uint32_t>(__builtin_ctzll(pmk[q]));
+            if (ratio > worst_ratio ||
+                (ratio == worst_ratio && first < worst_first)) {
+                worst_ratio = ratio;
+                worst = q;
+                worst_first = first;
+            }
+        }
+        talus_assert(worst != kNoPart, "set full of foreign lines");
+        victim = argminStamp(pmk[worst]);
+        cache_.stats().addEvictions(1);
+        if (c.occ[worst] > 0)
+            c.occ[worst]--;
+        pmk[worst] &= ~(1ull << (victim - base));
+    }
+    tags[victim] = addr;
+    fpt[victim] = fp;
+    c.valid[victim] = 1;
+    c.lparts[victim] = part;
+    stamps[victim] = ++*c.clock;
+    c.occ[part]++;
+    pmk[part] |= 1ull << (victim - base);
+    demote(victim, part);
+    return false;
+}
+
+template <class Route>
+__attribute__((always_inline)) inline uint64_t
+SchemePartitionedCache::accessRoutedBy(const Addr* addrs, uint64_t n,
+                                       Route route)
+{
+    uint64_t hits = 0;
+    if (fusedLru_ == nullptr) {
+        for (uint64_t i = 0; i < n; ++i)
+            hits += cache_.access(addrs[i], route(i, addrs[i]));
+        return hits;
+    }
+    if (maskEpoch_ != cache_.mutationEpoch())
+        rebuildMasks();
+
+    // For real blocks, precompute all set indices in one tight pass;
+    // the lookahead then prefetches upcoming rows while earlier
+    // accesses resolve. Shorter blocks (a single access) skip both.
+    constexpr uint64_t kPf = 8;
+    uint32_t* setv = nullptr;
+    if (n >= kPf) {
+        if (setScratch_.size() < n)
+            setScratch_.resize(n);
+        setv = setScratch_.data();
+        for (uint64_t i = 0; i < n; ++i)
+            setv[i] = fusedSetOf(addrs[i]);
+    }
+
+    const FusedCtx& c = ctx_;
+    for (uint64_t i = 0; i < n; ++i) {
+        if (setv != nullptr && i + kPf < n) {
+            const uint32_t ps = setv[i + kPf];
+            const uint32_t pb = ps * c.ways;
+            __builtin_prefetch(&c.fpt[pb], 0);
+            __builtin_prefetch(&c.tags[pb], 0);
+            __builtin_prefetch(&c.tags[pb + c.ways - 1], 0);
+            __builtin_prefetch(&c.stamps[pb], 1);
+            __builtin_prefetch(&c.stamps[pb + c.ways - 1], 1);
+            __builtin_prefetch(&c.umk[ps], 1);
+            __builtin_prefetch(&c.pmk[static_cast<size_t>(ps) * c.nparts],
+                               1);
+        }
+        const Addr a = addrs[i];
+        hits += fusedAccessOne(a, route(i, a),
+                               setv != nullptr ? setv[i] : fusedSetOf(a));
+    }
+    return hits;
+}
 
 /** Which partitioned-cache construction to use. */
 enum class SchemeKind

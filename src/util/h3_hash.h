@@ -76,9 +76,8 @@ class H3Hash
      * at least addrs.size() entries). Bit-exact with calling hash()
      * per element; the single tight loop over the byte-sliced tables
      * lets the compiler unroll and pipeline the table loads across
-     * addresses, which a per-access call boundary defeats. This is
-     * the batched-access fast path: one hashBlock feeds the router
-     * and the monitors for an entire access block.
+     * addresses, which a per-access call boundary defeats. The
+     * monitors' batched path hashes each access block this way.
      */
     void hashBlock(Span<const Addr> addrs, uint32_t* out) const
     {

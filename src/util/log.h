@@ -53,13 +53,20 @@ void informImpl(const std::string& msg);
 #define talus_inform(...) \
     ::talus::detail::informImpl(::talus::detail::format(__VA_ARGS__))
 
-/** Panics if @p cond is false; cheap enough to keep in release builds. */
+/**
+ * Panics if @p cond is false; cheap enough to keep in release builds.
+ * The failure path is a cold, out-of-line lambda, so a hot function
+ * that inlines many checks carries no message-building code or stack
+ * space for them.
+ */
 #define talus_assert(cond, ...)                                               \
     do {                                                                      \
-        if (!(cond)) {                                                        \
-            ::talus::detail::panicImpl(__FILE__, __LINE__,                    \
-                std::string("assertion failed: " #cond " ") +                 \
-                ::talus::detail::format(__VA_ARGS__));                        \
+        if (__builtin_expect(!(cond), 0)) {                                   \
+            [&]() __attribute__((noinline, cold)) {                           \
+                ::talus::detail::panicImpl(__FILE__, __LINE__,                \
+                    std::string("assertion failed: " #cond " ") +             \
+                    ::talus::detail::format(__VA_ARGS__));                    \
+            }();                                                              \
         }                                                                     \
     } while (0)
 

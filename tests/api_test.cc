@@ -68,6 +68,14 @@ TEST(TalusCacheConfig, ValidateNamesTheBadFieldActionably)
               std::string::npos);
 
     cfg = baseConfig();
+    cfg.ways = 300; // Below llcLines, above SetAssocCache::kMaxWays.
+    EXPECT_NE(cfg.validate().find("ways must be <= 256"),
+              std::string::npos);
+    cfg.scheme = SchemeKind::Vantage;
+    EXPECT_NE(errorOf(cfg).find("ways must be <= 256"),
+              std::string::npos);
+
+    cfg = baseConfig();
     cfg.numParts = 0;
     EXPECT_NE(cfg.validate().find("numParts"), std::string::npos);
 
