@@ -41,6 +41,9 @@ DEFAULT_TRACKED = [
     "BM_FullyAssocLru",
     "BM_UmonAccess",
     "BM_CombinedUMonAccess",
+    # The monitor pass over two interleaved address spaces, where a
+    # width-branching hash mispredicts (20-bit addresses never do).
+    "BM_CombinedUMonMixedSpaces",
     "BM_TalusFacadeAccess",
     "BM_TalusBatchedAccess",
     "BM_TalusMonitorOffAccess",

@@ -153,6 +153,36 @@ BM_CombinedUMonAccess(benchmark::State& state)
 }
 BENCHMARK(BM_CombinedUMonAccess);
 
+/**
+ * The same block feed over two interleaved address spaces: a small
+ * hot set in space 0 and keys in space 1 (at kAddrSpaceShift), in
+ * random order, as a scan over a hot set looks. Unlike the 20-bit
+ * addresses above, the two spaces need different numbers of H3 table
+ * loads, so a hash that branches on the address width mispredicts
+ * here; the monitor pass must not.
+ */
+void
+BM_CombinedUMonMixedSpaces(benchmark::State& state)
+{
+    constexpr size_t kBlock = 4096;
+    CombinedUMon::Config cfg;
+    cfg.llcLines = 1 << 17;
+    CombinedUMon mon(cfg);
+    Rng rng(7);
+    std::vector<Addr> addrs(kBlock);
+    for (Addr& a : addrs) {
+        const Addr space = rng.below(2);
+        a = (space << kAddrSpaceShift) | rng.below(1 << 20);
+    }
+    for (auto _ : state) {
+        mon.accessBlock(Span<const Addr>(addrs.data(), addrs.size()));
+        benchmark::DoNotOptimize(mon.sampledAccesses());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(kBlock));
+}
+BENCHMARK(BM_CombinedUMonMixedSpaces);
+
 TalusCache::Config
 facadeBenchConfig()
 {

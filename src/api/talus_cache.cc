@@ -256,21 +256,19 @@ TalusCache::feedMonitorDecimated(PartId part, const Addr* addrs, uint64_t n)
 {
     // Systematic 1-in-N decimation: the partition's phase counter
     // picks every Nth access regardless of chunking, so batch and
-    // serial drives observe the identical sub-stream.
+    // serial drives observe the identical sub-stream. Access i of the
+    // chunk is observed iff (phase + i) % period == 0; the monitor
+    // reads those in place, every period-th address from the first.
     const uint32_t period = cfg_.monitorSamplePeriod;
-    uint32_t phase = monPhase_[part];
-    monScratch_.clear();
-    for (uint64_t i = 0; i < n; ++i) {
-        if (phase == 0)
-            monScratch_.push_back(addrs[i]);
-        if (++phase == period)
-            phase = 0;
-    }
-    monPhase_[part] = phase;
+    const uint32_t phase = monPhase_[part];
+    const uint64_t first = phase == 0 ? 0 : period - phase;
+    monPhase_[part] = static_cast<uint32_t>((phase + n) % period);
+    if (first >= n)
+        return;
     if (obs_)
-        obsOnMonitor(part, monScratch_.size());
-    monitors_[part].accessBlock(Span<const Addr>(monScratch_.data(),
-                                                 monScratch_.size()));
+        obsOnMonitor(part, (n - first - 1) / period + 1);
+    monitors_[part].accessBlock(Span<const Addr>(addrs + first, n - first),
+                                period);
 }
 
 void

@@ -330,8 +330,8 @@ class TalusCache
     }
 
   private:
-    /** Batch chunk bound: caps the monitor/router scratch buffers and
-     *  keeps each pass L1/L2-resident. */
+    /** Batch chunk bound: keeps each pass over a chunk
+     *  L1/L2-resident. */
     static constexpr uint64_t kAccessBlock = 4096;
 
     /** Ends the monitoring interval and packages the control input. */
@@ -355,7 +355,7 @@ class TalusCache
      * accessBatch(). Each chunk stops exactly where the serial path
      * would fire an automatic reconfiguration or a scheduled
      * epoch-deferred application (nextStop_), so batching cannot
-     * slide either point; kAccessBlock bounds the scratch buffers.
+     * slide either point; kAccessBlock bounds each pass.
      * Per chunk: the monitor pass, then the access pass, then the
      * bookkeeping. The monitors never read the cache and the cache
      * never reads the monitors during accesses, so splitting the
@@ -402,8 +402,11 @@ class TalusCache
     void armNextStop();
 
     /** Feeds one chunk to @p part's monitor, applying the 1-in-N
-     *  decimation of Config::monitorSamplePeriod. */
-    void feedMonitor(PartId part, const Addr* addrs, uint64_t n)
+     *  decimation of Config::monitorSamplePeriod. Always inline, like
+     *  accessChunks and the monitor pass, so access() runs the pass
+     *  with n == 1 known. */
+    __attribute__((always_inline)) void
+    feedMonitor(PartId part, const Addr* addrs, uint64_t n)
     {
         if (cfg_.monitorSamplePeriod != 1) {
             feedMonitorDecimated(part, addrs, n);
@@ -433,7 +436,6 @@ class TalusCache
     // loop touches exactly one slot of each per chunk.
     std::vector<uint64_t> intervalAccesses_;
     std::vector<uint32_t> monPhase_; //!< Decimation phase per partition.
-    std::vector<Addr> monScratch_;   //!< Decimated-address gather buffer.
     uint64_t sinceReconfig_ = 0;
     uint64_t reconfigurations_ = 0;
     uint64_t accessCount_ = 0; //!< Lifetime accesses (epoch clock).

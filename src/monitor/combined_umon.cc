@@ -6,76 +6,34 @@ namespace talus {
 
 namespace {
 
-UMon::Config
+UMonArray::Config
 primaryConfig(const CombinedUMon::Config& c)
 {
-    UMon::Config pc;
+    UMonArray::Config pc;
     pc.ways = c.primaryWays;
     pc.sets = c.sets;
     pc.modeledLines = c.llcLines;
-    pc.seed = c.seed;
     return pc;
 }
 
-UMon::Config
+UMonArray::Config
 secondaryConfig(const CombinedUMon::Config& c)
 {
-    UMon::Config sc;
+    UMonArray::Config sc;
     sc.ways = c.sampledWays;
     sc.sets = c.sets;
     sc.modeledLines = c.llcLines * c.coverage;
-    // Same hash family, different seed: the secondary samples an
-    // independent 1:16-rate slice.
-    sc.seed = c.seed ^ 0x5A5A5A5A;
     return sc;
 }
 
 } // namespace
 
 CombinedUMon::CombinedUMon(const Config& config)
-    : cfg_(config), primary_(primaryConfig(config)),
-      secondary_(secondaryConfig(config))
+    : cfg_(config), hash_(config.seed, config.seed ^ 0x5A5A5A5A),
+      primary_(primaryConfig(config)), secondary_(secondaryConfig(config)),
+      secondaryLimit_(config.coverage > 1 ? secondary_.sampleLimit() : 0)
 {
     talus_assert(cfg_.coverage >= 1, "coverage must be >= 1");
-}
-
-void
-CombinedUMon::access(Addr addr)
-{
-    primary_.access(addr);
-    if (cfg_.coverage > 1)
-        secondary_.access(addr);
-}
-
-void
-CombinedUMon::accessBlockMulti(Span<const Addr> addrs)
-{
-    const size_t n = addrs.size();
-    if (n == 0)
-        return;
-    hashScratch_.resize(n);
-    uint32_t* h = hashScratch_.data();
-
-    // One fused hash pass per monitor, then a rejection loop that
-    // only calls into the tag array for the sampled minority. The
-    // integer compare is equivalent to the double compare
-    // UMon::access used to run (see sampleLimitInt()), so the
-    // sampled set is bit-identical.
-    primary_.hashFn().hashBlock(addrs, h);
-    const uint64_t primary_limit = primary_.sampleLimitInt();
-    for (size_t i = 0; i < n; ++i) {
-        if (h[i] < primary_limit)
-            primary_.accessSampled(addrs[i], h[i]);
-    }
-
-    if (cfg_.coverage > 1) {
-        secondary_.hashFn().hashBlock(addrs, h);
-        const uint64_t secondary_limit = secondary_.sampleLimitInt();
-        for (size_t i = 0; i < n; ++i) {
-            if (h[i] < secondary_limit)
-                secondary_.accessSampled(addrs[i], h[i]);
-        }
-    }
 }
 
 MissCurve

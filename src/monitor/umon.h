@@ -9,6 +9,10 @@
  * cache at every way-granularity size with a single array. A monitor
  * of W ways and S sets sampling a 1-in-F slice of addresses models a
  * cache of W*S*F lines at points spaced S*F lines apart (Theorem 4).
+ *
+ * UMonArray is the tag array and its counters; the sampling hash
+ * belongs to its owner. CombinedUMon feeds two arrays from one H3Pair
+ * lookup; UMon adds its own H3Hash for stand-alone use.
  */
 
 #ifndef TALUS_MONITOR_UMON_H
@@ -22,8 +26,14 @@
 
 namespace talus {
 
-/** One sampled LRU tag-array monitor. */
-class UMon
+/**
+ * The sampled LRU tag array and per-way hit counters of one UMON,
+ * without a hash. The owner evaluates a 32-bit H3 hash h of each
+ * address and calls accessSampled() for the addresses with
+ * h < sampleLimit(): one H3 evaluation drives both decisions, the
+ * magnitude compare the sampling, the low bits the set index.
+ */
+class UMonArray
 {
   public:
     /** Monitor geometry and target. */
@@ -32,53 +42,27 @@ class UMon
         uint32_t ways = 64;          //!< Associativity (curve points).
         uint32_t sets = 16;          //!< Monitor sets (64x16 = 1K lines).
         uint64_t modeledLines = 1 << 17; //!< Cache size this UMON models.
-        uint64_t seed = 0x0707;      //!< Sampling/set hash seed.
     };
 
-    explicit UMon(const Config& config);
+    explicit UMonArray(const Config& config);
 
     /**
-     * Observes one access; internally decides whether the address is
-     * sampled (hash below the sampling threshold).
-     */
-    void access(Addr addr)
-    {
-        // Pseudo-random address sampling (Assumption 3): the sampled
-        // stream is statistically self-similar, so the small array
-        // models a proportionally larger cache (Theorem 4). One H3
-        // evaluation drives both decisions: the magnitude compare
-        // consumes the high bits, the set index the low bits.
-        const uint32_t h = hash_.hash(addr);
-        if (h >= sampleLimitInt_)
-            return;
-        accessSampled(addr, h);
-    }
-
-    /**
-     * The hot-path split of access(): the caller already evaluated
-     * @p h = hashFn().hash(addr) and checked h < sampleLimitInt()
-     * (or the equivalent double compare against sampleLimit()), so
-     * this only runs the tag-array update.
+     * Runs the tag-array update for one sampled address; @p h is its
+     * 32-bit hash, already checked h < sampleLimit(). Stack positions
+     * are kept by moving tags: the set row is ordered MRU first. An
+     * address equal to the empty-slot marker ~0ull matches the first
+     * empty slot as a hit; line addresses never reach it in practice.
      */
     void accessSampled(Addr addr, uint32_t h);
 
-    /** The prescaled sampling threshold access() compares hashes
-     *  against (sampleThreshold * hash range). */
-    double sampleLimit() const { return sampleLimit_; }
-
     /**
-     * ceil(sampleLimit()): for any integer hash h,
-     * (double)h < sampleLimit()  <=>  h < sampleLimitInt(). (When the
-     * limit L is an integer the two compares agree directly; when it
-     * is not, h < L <=> h <= floor(L) <=> h < ceil(L). The uint32 ->
-     * double conversion is exact.) So the integer compare samples the
-     * bit-identical address set while keeping the hot path free of
-     * int->double conversions.
+     * The sampling threshold over the 32-bit hash range:
+     * ceil(monitor lines / modeled lines * 2^32), capped at 2^32 (all
+     * sampled). For an integer hash h, h < ceil(L) <=> h < L, so the
+     * integer compare samples exactly the addresses of the real-valued
+     * threshold without int->double conversions on the hot path.
      */
-    uint64_t sampleLimitInt() const { return sampleLimitInt_; }
-
-    /** The sampling/set-index hash, for batched evaluation. */
-    const H3Hash& hashFn() const { return hash_; }
+    uint64_t sampleLimit() const { return sampleLimit_; }
 
     /** Accesses that passed the sampling filter. */
     uint64_t sampledAccesses() const { return sampled_; }
@@ -102,24 +86,55 @@ class UMon
 
   private:
     Config cfg_;
-    H3Hash hash_;
-    double sampleThreshold_;
-    // Sampling compares the hash's magnitude, set selection its low
-    // bits: one H3 evaluation serves both. sampleLimit_ is the
-    // threshold prescaled to the hash range; setMask_ replaces the
+    uint64_t sampleLimit_ = 0;
+    // Set selection from the hash's low bits: setMask_ replaces the
     // modulo when sets is a power of two (the common geometry).
-    double sampleLimit_;
-    uint64_t sampleLimitInt_ = 0; //!< ceil(sampleLimit_); see accessor.
     uint32_t setMask_ = 0;
     bool setsArePow2_ = false;
 
     // tags_[set*ways + pos], pos 0 = MRU. Invalid entries hold
     // kInvalidTag.
     std::vector<Addr> tags_;
-    std::vector<uint64_t> wayHits_; //!< Hits at LRU stack position d.
+    // wayHits_[d]: hits at LRU stack position d. One extra slot,
+    // wayHits_[ways], counts misses so the update needs no hit/miss
+    // branch; curve() never reads it.
+    std::vector<uint64_t> wayHits_;
     uint64_t sampled_ = 0;
 
     static constexpr Addr kInvalidTag = ~0ull;
+};
+
+/** A stand-alone UMON: a UMonArray sampled by its own H3 hash. */
+class UMon : public UMonArray
+{
+  public:
+    /** Geometry plus the sampling/set hash seed. */
+    struct Config : UMonArray::Config
+    {
+        uint64_t seed = 0x0707; //!< Sampling/set hash seed.
+    };
+
+    explicit UMon(const Config& config)
+        : UMonArray(config), hash_(32, config.seed)
+    {
+    }
+
+    /**
+     * Observes one access; samples it when its hash falls below the
+     * sampling threshold. Pseudo-random address sampling
+     * (Assumption 3) keeps the sampled stream statistically
+     * self-similar, so the small array models a proportionally larger
+     * cache (Theorem 4).
+     */
+    void access(Addr addr)
+    {
+        const uint32_t h = hash_.hash(addr);
+        if (h < sampleLimit())
+            accessSampled(addr, h);
+    }
+
+  private:
+    H3Hash hash_;
 };
 
 } // namespace talus

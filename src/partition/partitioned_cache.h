@@ -21,10 +21,6 @@
 #include <string>
 #include <vector>
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#include <immintrin.h>
-#endif
-
 #include "cache/cache_stats.h"
 #include "cache/set_assoc_cache.h"
 #include "util/aligned.h"
@@ -115,18 +111,11 @@ tagFingerprint(Addr a)
     return static_cast<uint32_t>(a) ^ static_cast<uint32_t>(a >> 32);
 }
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#define TALUS_KERNEL_AVX2 1
-
-// AVX2 forms of the kernel's two 16-way row scans, behind one
-// predictable cpu-support branch: the library builds for the baseline
-// ISA, where the compiler leaves these loops scalar. Both are
-// bit-exact with the scalar loops: the probe is pure lane-wise
-// equality, and the argmin reduces unique keys, so the minimum is
-// order-independent.
-
-/** True once at startup iff the host executes AVX2. */
-inline const bool kHaveAvx2 = __builtin_cpu_supports("avx2");
+#if TALUS_AVX2
+// AVX2 forms of the kernel's two 16-way row scans, behind the
+// kHaveAvx2 branch (util/bits.h). Both are bit-exact with the scalar
+// loops: the probe is pure lane-wise equality, and the argmin reduces
+// unique keys, so the minimum is order-independent.
 
 /** 16-lane fingerprint-equality mask over one 64-byte row. */
 __attribute__((target("avx2"))) inline uint64_t
@@ -384,8 +373,8 @@ SchemePartitionedCache::fusedAccessOne(Addr addr, PartId part,
     // lowest verified way is the generic scan's hit way.
     const uint32_t fp = fused::tagFingerprint(addr);
     uint64_t m_fp = 0;
-#if TALUS_KERNEL_AVX2
-    if (ways == 16 && fused::kHaveAvx2) {
+#if TALUS_AVX2
+    if (ways == 16 && kHaveAvx2) {
         m_fp = fused::probeRow16(fpt + base, fp);
     } else
 #endif
@@ -411,8 +400,8 @@ SchemePartitionedCache::fusedAccessOne(Addr addr, PartId part,
     // Excluded ways get an all-ones key above any real one (stamps
     // stay far below 2^57 for any feasible run).
     const auto argminStamp = [&](uint64_t m) -> uint32_t {
-#if TALUS_KERNEL_AVX2
-        if (ways == 16 && fused::kHaveAvx2)
+#if TALUS_AVX2
+        if (ways == 16 && kHaveAvx2)
             return base + fused::argminRow16(stamps + base, m);
 #endif
         uint64_t best = ~0ull;

@@ -8,7 +8,21 @@
 
 #include <cstdint>
 
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#include <immintrin.h>
+/** Defined where hot loops carry AVX2 forms: functions compiled with
+ *  target("avx2") inside a library built for the baseline ISA. */
+#define TALUS_AVX2 1
+#endif
+
 namespace talus {
+
+#if TALUS_AVX2
+/** True once at startup iff the host executes AVX2. Every AVX2 form
+ *  sits behind this one predictable branch, with its scalar loop as
+ *  the fallback. */
+inline const bool kHaveAvx2 = __builtin_cpu_supports("avx2");
+#endif
 
 /**
  * splitmix64-style 64-bit finalizer. Used wherever a cheap, high-

@@ -40,9 +40,19 @@ H3Hash::H3Hash(uint32_t out_bits, uint64_t seed)
                     table_[b][v] ^ bit_contrib[j];
         }
     }
+}
 
-    hiZero32_ = table_[4][0] ^ table_[5][0] ^ table_[6][0] ^ table_[7][0];
-    hiZero16_ = hiZero32_ ^ table_[2][0] ^ table_[3][0];
+H3Pair::H3Pair(uint64_t low_seed, uint64_t high_seed)
+{
+    const H3Hash low(32, low_seed);
+    const H3Hash high(32, high_seed);
+    for (uint32_t b = 0; b < 8; ++b) {
+        for (uint64_t v = 0; v < 256; ++v) {
+            const Addr in = v << (8 * b);
+            table_[b][v] = low.hash(in) |
+                           (static_cast<uint64_t>(high.hash(in)) << 32);
+        }
+    }
 }
 
 uint32_t

@@ -430,7 +430,8 @@ TEST(CacheObsTest, StalenessAndApplyAgeTrackEpochDeferral)
     const Span<const Addr> kilo(addrs.data(), 1000);
 
     const auto gauge = [&reg](const char* name) {
-        const MetricValue* m = reg.snapshot().find(name);
+        const MetricsSnapshot snap = reg.snapshot();
+        const MetricValue* m = snap.find(name);
         return m != nullptr ? m->gauge : -1.0;
     };
 
