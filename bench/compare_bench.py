@@ -87,11 +87,12 @@ DEFAULT_TRACKED = [
 # No-negative-scaling invariants, checked on the current run alone:
 # each (inline, threaded, min_cpus) row pair must satisfy
 # throughput(threaded) >= throughput(inline). min_cpus is the fewest
-# host CPUs at which expecting the threaded row to win is fair (the
-# caller thread mostly yields during a batch, so workers == cores is
-# enough). The pairs pin the fix for the ROADMAP's negative-scaling
-# bug: per-batch pool dispatch used to make threads:4 ~20% SLOWER
-# than threads:0.
+# host CPUs at which expecting the threaded row to win is fair
+# (dispatch is work-first: the caller runs the shard tasks no worker
+# has started and then waits, so the caller plus the workers that
+# took a task fit on workers == cores). The pairs pin the fix for the
+# ROADMAP's negative-scaling bug: a caller that only waited made
+# threads:4 slower than threads:0 on a 4-CPU host.
 SCALING_INVARIANTS = [
     ("BM_ShardedBatchedAccess/shards:4/threads:0/real_time",
      "BM_ShardedBatchedAccess/shards:4/threads:4/real_time", 4),

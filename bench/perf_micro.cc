@@ -291,9 +291,9 @@ BENCHMARK(BM_TalusMonitorOffAccess);
  * facade bench cache split across shards) so the sweep isolates the
  * shard layer's routing + dispatch cost. The threads:0 rows are the
  * deterministic, host-independent ones the regression gate tracks;
- * the threads:2/threads:4 rows of the same sweep measure worker-pool
+ * the threads:2/threads:4 rows of the same sweep measure pinned-worker
  * dispatch and depend on core count (hence UseRealTime: with work on
- * pool threads, the main thread's cpu_time would be meaningless).
+ * worker threads, the main thread's cpu_time would be meaningless).
  */
 void
 BM_ShardedBatchedAccess(benchmark::State& state)
@@ -554,7 +554,8 @@ BENCHMARK(BM_ControlPlaneStep);
  * reconfigureAll(). The threads:0 row is the deterministic tracked
  * one; threads:2/4 of the same sweep show that per-shard control
  * steps no longer serialize — on multi-core hosts they overlap on
- * the worker pool (UseRealTime: the work runs on pool threads).
+ * the pinned workers and the caller (UseRealTime: the work runs on
+ * worker threads).
  */
 void
 BM_ShardedReconfigure(benchmark::State& state)

@@ -42,20 +42,23 @@ PinnedWorkers::PinnedWorkers(uint32_t threads, uint32_t num_shards,
     talus_assert(exec_ != nullptr, "PinnedWorkers needs an executor");
     if (threads == 0)
         return;
-    // A ring holds at most one dispatch's worth of its owner's shard
-    // fan-in (wait() drains fully before the next dispatchAsync may
-    // submit); doubled as cheap headroom so the overflow assert below
-    // stays a programming-error trap rather than a tight capacity
-    // proof.
+    // A ring holds one dispatch's worth of its owner's shard fan-in,
+    // plus as many stale entries again (tasks the caller claimed
+    // before the owner popped them). Past that the push is skipped
+    // and the caller runs the task, so the capacity is a tuning
+    // choice, not a correctness bound.
     const uint32_t fan_in = (num_shards + threads - 1) / threads;
     workers_.reserve(threads);
     for (uint32_t t = 0; t < threads; ++t)
         workers_.push_back(
             std::make_unique<Worker>(2 * (fan_in > 0 ? fan_in : 1)));
+    claims_ = std::vector<std::atomic<uint64_t>>(num_shards);
     touched_.assign(threads, 0);
     // Resolve metric handles before any worker thread exists, so the
     // threads only ever see fully initialized (or all-null) pointers.
     if (metrics != nullptr) {
+        callerTasks_ = &metrics->counter(
+            "talus_dispatch_caller_tasks_total", metricsScope);
         for (uint32_t t = 0; t < threads; ++t) {
             const std::string labels =
                 joinLabels(metricsScope, labelPair("worker", t));
@@ -103,15 +106,26 @@ PinnedWorkers::dispatchAsync(const ShardTask* tasks, uint32_t count)
                  "before the next dispatchAsync(), and dispatch from "
                  "one thread only");
 
+    tasks_ = tasks;
+    count_ = count;
+    const uint64_t epoch = ++epoch_;
     pending_.store(count, std::memory_order_relaxed);
     std::fill(touched_.begin(), touched_.end(), uint8_t{0});
     for (uint32_t i = 0; i < count; ++i) {
-        const uint32_t w = ownerOf(tasks[i].shard);
-        // Cannot fail: rings are sized for the per-worker shard
-        // fan-in and dispatch() drains fully before returning.
-        const bool pushed = workers_[w]->ring.tryPush(tasks[i]);
-        talus_assert(pushed, "SPSC ring overflow on worker ", w,
-                     " — overlapping dispatch()?");
+        const uint32_t s = tasks[i].shard;
+        talus_assert(s < claims_.size(), "bad shard ", s);
+        // Post the claim before the push publishes the entry. Nothing
+        // else writes the word now: every claim of the last dispatch
+        // is settled, and a stale entry's claim only reads it.
+        talus_assert(claims_[s].load(std::memory_order_relaxed) !=
+                         2 * epoch,
+                     "shard ", s, " appears twice in one dispatch");
+        claims_[s].store(2 * epoch, std::memory_order_relaxed);
+        const uint32_t w = ownerOf(s);
+        // A full ring means the owner fell behind on stale entries:
+        // skip the push, and wait() runs the task on the caller.
+        if (!workers_[w]->ring.tryPush(Posted{tasks[i], epoch}))
+            continue;
         touched_[w] = 1;
         if (workers_[w]->ringDepthHwm != nullptr) {
             // Racy-snapshot depth right after our own push: an upper
@@ -148,12 +162,28 @@ PinnedWorkers::dispatchAsync(const ShardTask* tasks, uint32_t count)
 void
 PinnedWorkers::wait()
 {
-    if (threads_.empty())
+    if (threads_.empty() ||
+        !dispatching_.load(std::memory_order_relaxed))
         return;
-    // Completion wait: spin, then yield (on oversubscribed hosts the
-    // yields are what let the workers run at all). The acquire pairs
-    // with each worker's release fetch_sub, so every task's writes —
-    // per-shard hit slots, cache state — are visible on return.
+    // Work first: run every task no worker has claimed, from the tail
+    // (the workers pop from the head of their rings).
+    uint64_t ran = 0;
+    for (uint32_t i = count_; i-- > 0;) {
+        if (claim(tasks_[i].shard, epoch_)) {
+            exec_(tasks_[i]);
+            ++ran;
+        }
+    }
+    if (ran != 0) {
+        pending_.fetch_sub(ran, std::memory_order_relaxed);
+        if (callerTasks_ != nullptr)
+            callerTasks_->inc(ran);
+    }
+    // Then wait for the tasks the workers claimed: spin, then yield
+    // (on oversubscribed hosts the yields are what let the workers run
+    // at all). The acquire pairs with each worker's release fetch_sub,
+    // so every task's writes — per-shard hit slots, cache state — are
+    // visible on return.
     int idle = 0;
     while (pending_.load(std::memory_order_acquire) != 0) {
         if (++idle < kSpinPolls)
@@ -164,16 +194,28 @@ PinnedWorkers::wait()
     dispatching_.store(false, std::memory_order_release);
 }
 
+bool
+PinnedWorkers::claim(uint32_t shard, uint64_t epoch)
+{
+    uint64_t posted = 2 * epoch;
+    return claims_[shard].compare_exchange_strong(
+        posted, posted + 1, std::memory_order_acq_rel,
+        std::memory_order_relaxed);
+}
+
 void
 PinnedWorkers::workerLoop(Worker& w)
 {
-    ShardTask task;
+    Posted p;
     int idle = 0;
     while (true) {
-        if (w.ring.tryPop(task)) {
+        if (w.ring.tryPop(p)) {
             idle = 0;
-            exec_(task);
-            pending_.fetch_sub(1, std::memory_order_release);
+            // A stale entry (the caller ran it) fails its claim.
+            if (claim(p.task.shard, p.epoch)) {
+                exec_(p.task);
+                pending_.fetch_sub(1, std::memory_order_release);
+            }
             continue;
         }
         if (stop_.load(std::memory_order_acquire))
@@ -185,9 +227,9 @@ PinnedWorkers::workerLoop(Worker& w)
             std::this_thread::yield();
         } else {
             // Park. Flag first, fence, then one last ring check: the
-            // producer's fence-then-flag-read (dispatch()) guarantees
-            // that if it skipped the notify, our recheck sees its
-            // push.
+            // producer's fence-then-flag-read (dispatchAsync())
+            // guarantees that if it skipped the notify, our recheck
+            // sees its push.
             w.parked.store(true, std::memory_order_relaxed);
             std::atomic_thread_fence(std::memory_order_seq_cst);
             if (w.ring.empty() &&

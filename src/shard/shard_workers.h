@@ -1,36 +1,33 @@
 /**
  * @file
- * PinnedWorkers: persistent shard-pinned worker threads fed through
- * bounded SPSC rings — the serving engine's data-path dispatcher.
- *
- * WorkerPool (shard/worker_pool.h) dispatches a batch by locking a
- * mutex, bumping a generation, waking every worker, and waiting for
- * straggler quiescence; per batch that handshake (plus a
- * std::function rebuild) costs on the order of the work itself, which
- * is why threaded sharding used to scale *negatively*. This
- * dispatcher inverts the model, the way production cache servers do
- * (Apache Traffic Server pins continuations to persistent per-core
- * event threads rather than re-forming a thread team per request):
+ * PinnedWorkers: the serving engine's one dispatcher — persistent
+ * shard-pinned worker threads fed through bounded SPSC rings, with a
+ * work-first caller.
  *
  *  - Each worker thread permanently owns a fixed subset of shards
- *    (shard s belongs to worker s % threads). Only that thread ever
- *    touches those shards' caches on the data path, so per-shard
- *    state needs no locking and outputs can go to per-shard slots
- *    with no cross-worker write contention.
- *  - Work arrives as plain ShardTask descriptors through a per-worker
- *    SPSC ring (shard/spsc_ring.h): dispatching a batch is one ring
- *    push per non-empty shard plus one atomic pending-counter, no
- *    mutex on the submit path.
+ *    (shard s belongs to worker s % threads) and is fed plain
+ *    ShardTask descriptors through its own SPSC ring
+ *    (shard/spsc_ring.h): dispatching is one ring push per task plus
+ *    one atomic pending counter, no mutex on the submit path.
+ *  - Work-first: the caller does not sit idle while the workers run.
+ *    wait() walks the dispatched tasks from the tail and runs every
+ *    one no worker has started, then waits for the rest. Workers pop
+ *    from the head of their rings, so the two meet in the middle.
+ *  - Every task carries an epoch-tagged claim word (one per shard):
+ *    whoever wins the claim — the owning worker or the caller — runs
+ *    the task, exactly once. A ring entry the caller already claimed
+ *    goes stale and fails its claim when the worker pops it; a full
+ *    ring (an owner that fell behind) just skips the push, and the
+ *    caller runs that task.
  *  - Idle workers poll: spin briefly, then yield, then park on a
  *    condition variable. The producer touches a worker's parking
- *    mutex only when that worker has actually parked — in the steady
- *    state (batches arriving back-to-back) workers are still polling
- *    when the next descriptor lands and dispatch is wakeup-free.
+ *    mutex only when that worker has actually parked.
  *
- * Determinism: pinning fixes which thread runs each shard, and each
- * ring preserves FIFO order, so per-shard execution order is exactly
- * submission order. Shards share no state, so results are bit-exact
- * with inline execution (threads == 0) for any thread count.
+ * Determinism: a dispatch holds at most one task per shard and wait()
+ * completes every task before the next dispatch, so each shard's tasks
+ * run in submission order, one thread at a time — on its owner or on
+ * the caller. Shards share no state, so results are bit-exact with
+ * inline execution (threads == 0) for any thread count.
  */
 
 #ifndef TALUS_SHARD_SHARD_WORKERS_H
@@ -55,39 +52,53 @@ class Counter;
 class Gauge;
 class MetricRegistry;
 
-/** One unit of data-path work: a shard plus its sub-batch. */
+/** One unit of shard work: a shard, what to do with it, and its
+ *  operands. */
 struct ShardTask
 {
+    /** What the executor does with the shard. */
+    enum class Op : uint8_t
+    {
+        Access,             //!< Serve the sub-batch [data, data + count).
+        Reconfigure,        //!< One synchronous control step.
+        ReconfigureAtEpoch, //!< Compute now; apply at the next multiple
+                            //!< of count accesses.
+    };
+
     uint32_t shard = 0;         //!< Target shard index.
-    const Addr* data = nullptr; //!< Sub-batch base. Borrowed: must stay
-                                //!< valid until dispatch() returns.
-    uint64_t count = 0;         //!< Addresses in the sub-batch.
+    Op op = Op::Access;         //!< The work to do.
     PartId part = 0;            //!< Logical partition of the batch.
+    const Addr* data = nullptr; //!< Sub-batch base. Borrowed: must stay
+                                //!< valid until wait() returns.
+    uint64_t count = 0;         //!< Addresses in the sub-batch, or the
+                                //!< epoch length (ReconfigureAtEpoch).
 };
 
-/** Persistent shard-pinned workers fed by per-worker SPSC rings. */
+/** Persistent shard-pinned workers fed by per-worker SPSC rings, with
+ *  a caller that runs the tasks no worker has started. */
 class PinnedWorkers
 {
   public:
     /** Executes one ShardTask; runs on the shard's owning worker
-     *  thread (or the caller's thread when threads == 0). */
+     *  thread or on the caller's thread. */
     using Executor = std::function<void(const ShardTask&)>;
 
     /**
      * Starts @p threads persistent workers, each owning the shards
      * s in [0, num_shards) with s % threads == its index. threads == 0
-     * starts none: dispatch() runs every task inline, in submission
-     * order, on the calling thread — the deterministic-debugging mode
-     * the threaded modes must match bit-for-bit.
+     * starts none: dispatchAsync() runs every task inline, in
+     * submission order, on the calling thread — the
+     * deterministic-debugging mode the threaded modes must match
+     * bit-for-bit.
      *
      * @p exec is fixed for the lifetime of the pool (one indirect
      * call per task; never rebuilt per batch).
      *
-     * @p metrics (optional) publishes per-worker dispatch health —
-     * ring depth high-water marks, park and wake counts, labeled
-     * `worker="t"` under @p metricsScope — into the registry. Null
-     * (the default) compiles the hooks down to never-taken null
-     * checks off the ring hot path.
+     * @p metrics (optional) publishes dispatch health into the
+     * registry under @p metricsScope: per worker (`worker="t"`) the
+     * ring depth high-water mark and the park and wake counts, and
+     * per engine the tasks the caller ran. Null (the default) leaves
+     * the hooks as never-taken null checks.
      */
     PinnedWorkers(uint32_t threads, uint32_t num_shards, Executor exec,
                   MetricRegistry* metrics = nullptr,
@@ -100,12 +111,13 @@ class PinnedWorkers
     PinnedWorkers& operator=(const PinnedWorkers&) = delete;
 
     /**
-     * Runs tasks[0..count) — each on its shard's owning worker, FIFO
-     * per shard — and returns once every task finished (with release/
-     * acquire publication, so the caller sees all worker writes).
-     * Tasks for distinct shards owned by the same worker run in
-     * submission order. Not reentrant: one dispatch() at a time, from
-     * one thread (enforced by a talus_assert).
+     * Runs tasks[0..count) and returns once every task finished (with
+     * release/acquire publication, so the caller sees all worker
+     * writes). Each task runs exactly once, on its shard's owning
+     * worker or on the caller. A dispatch may name each shard at most
+     * once (enforced by a talus_assert); tasks of one dispatch run in
+     * any order. Not reentrant: one dispatch() at a time, from one
+     * thread (enforced by a talus_assert).
      */
     void dispatch(const ShardTask* tasks, uint32_t count)
     {
@@ -114,9 +126,9 @@ class PinnedWorkers
     }
 
     /**
-     * Submission half of dispatch(): pushes every task to its owning
-     * worker's ring, wakes parked workers, and returns WITHOUT
-     * waiting for completion — the producer can overlap its own work
+     * Submission half of dispatch(): posts every task's claim, pushes
+     * it to its owning worker's ring, wakes parked workers, and
+     * returns WITHOUT waiting — the producer can overlap its own work
      * (scattering the next block) with the drain. With threads == 0
      * the tasks run inline here, so async and sync modes stay
      * bit-exact.
@@ -129,8 +141,9 @@ class PinnedWorkers
     void dispatchAsync(const ShardTask* tasks, uint32_t count);
 
     /**
-     * Completion half of dispatch(): returns once every task of the
-     * outstanding dispatchAsync() finished, with the same release/
+     * Completion half of dispatch(): runs, from the tail, every task
+     * of the outstanding dispatchAsync() that no worker has claimed,
+     * then returns once the rest finished, with the same release/
      * acquire publication dispatch() provides. No-op when nothing is
      * outstanding (or threads == 0).
      */
@@ -149,12 +162,19 @@ class PinnedWorkers
     }
 
   private:
+    /** A ring entry: the task plus the dispatch epoch it belongs to. */
+    struct Posted
+    {
+        ShardTask task;
+        uint64_t epoch = 0;
+    };
+
     /** Per-worker state: its task ring and its parking gear. */
     struct Worker
     {
         explicit Worker(uint32_t ring_capacity) : ring(ring_capacity) {}
 
-        SpscRing<ShardTask> ring;
+        SpscRing<Posted> ring;
         // Metric handles (null when metrics are off). parks is bumped
         // by the worker thread, wakes by the producer, and the ring
         // depth high-water mark by the producer alone (hwm is plain:
@@ -165,21 +185,33 @@ class PinnedWorkers
         uint64_t hwm = 0;
         /** True while the worker sleeps on cv (set by the worker
          *  before its final empty-ring recheck; the seq_cst fences in
-         *  workerLoop()/dispatch() make flag and ring visible in a
-         *  consistent order, so a push is never silently missed). */
+         *  workerLoop()/dispatchAsync() make flag and ring visible in
+         *  a consistent order, so a push is never silently missed). */
         std::atomic<bool> parked{false};
         std::mutex mu;
         std::condition_variable cv;
     };
+
+    /** Claims @p shard's task of dispatch @p epoch; true for exactly
+     *  one caller per posted task. */
+    bool claim(uint32_t shard, uint64_t epoch);
 
     void workerLoop(Worker& w);
 
     Executor exec_;
     std::vector<std::unique_ptr<Worker>> workers_;
     std::vector<std::thread> threads_;
-    std::vector<uint8_t> touched_; //!< Dispatch scratch: workers fed
-                                   //!< this batch (caller-owned).
-    std::atomic<uint64_t> pending_{0}; //!< Tasks in flight.
+    /** Per-shard claim words: 2e once shard's task of dispatch e is
+     *  posted, 2e + 1 once someone claimed it. A ring entry of an
+     *  older epoch therefore never wins. */
+    std::vector<std::atomic<uint64_t>> claims_;
+    // Caller-owned state of the outstanding dispatch.
+    const ShardTask* tasks_ = nullptr;
+    uint32_t count_ = 0;
+    uint64_t epoch_ = 0;
+    std::vector<uint8_t> touched_; //!< Workers fed this dispatch.
+    Counter* callerTasks_ = nullptr; //!< Tasks wait() ran (or null).
+    std::atomic<uint64_t> pending_{0}; //!< Tasks not yet finished.
     std::atomic<bool> stop_{false};
     std::atomic<bool> dispatching_{false}; //!< Reentrancy trap.
 };

@@ -31,8 +31,8 @@ resolveRegistry(const TalusCache::Config& shard)
 }
 
 // Validation gate for the member-initializer list: the router and
-// worker pool are constructed before the constructor body runs, so
-// an invalid config must throw before either sees it.
+// the pinned workers are constructed before the constructor body
+// runs, so an invalid config must throw before either sees it.
 const ShardedTalusCache::Config&
 validated(const ShardedTalusCache::Config& config)
 {
@@ -85,15 +85,26 @@ ShardedTalusCache::ShardedTalusCache(const Config& config)
       router_(cfg_.numShards,
               cfg_.routerSeed.value_or(cfg_.shard.seed ^
                                        kRouterSeedSalt)),
-      pool_(cfg_.threads),
-      // The executor runs on the shard's pinned worker thread; each
-      // shard writes only its own padded hit slot, so per-batch
-      // outputs never contend for a cache line.
+      // The executor runs on the shard's pinned worker thread or on
+      // the caller; each shard writes only its own padded hit slot,
+      // so per-batch outputs never contend for a cache line.
       workers_(
           cfg_.threads, cfg_.numShards,
           [this](const ShardTask& t) {
-              shardHits_[t.shard].value = shards_[t.shard]->accessBatch(
-                  Span<const Addr>(t.data, t.count), t.part);
+              TalusCache& shard = *shards_[t.shard];
+              switch (t.op) {
+              case ShardTask::Op::Access:
+                  shardHits_[t.shard].value = shard.accessBatch(
+                      Span<const Addr>(t.data, t.count), t.part);
+                  break;
+              case ShardTask::Op::Reconfigure:
+                  shard.reconfigure();
+                  break;
+              case ShardTask::Op::ReconfigureAtEpoch:
+                  shard.prepareReconfigure();
+                  shard.applyReconfigureAtEpoch(t.count);
+                  break;
+              }
           },
           resolveRegistry(cfg_.shard), cfg_.shard.metricsScope)
 {
@@ -126,7 +137,8 @@ ShardedTalusCache::buildTasks(Span<const Addr> addrs, PartId part,
     for (uint32_t s = 0; s < cfg_.numShards; ++s) {
         const uint64_t n = plan.count(s);
         if (n != 0)
-            tasks.push_back(ShardTask{s, plan.shardData(s), n, part});
+            tasks.push_back(ShardTask{s, ShardTask::Op::Access, part,
+                                      plan.shardData(s), n});
     }
 }
 
@@ -159,13 +171,14 @@ ShardedTalusCache::accessBatch(Span<const Addr> addrs, PartId part)
 
     // Pipelined: while the pinned workers drain block k (submitted
     // with dispatchAsync), the caller scatters block k+1 into the
-    // spare plan. Each shard still receives its full sub-stream in
-    // stream order — blocks are dispatched in order and wait() fully
-    // drains one block before the next is submitted — and chunking a
-    // TalusCache batch is bit-exact by that class's contract, so the
-    // result matches the unpipelined path bit-for-bit for any thread
-    // count. Block k's hit slots are gathered after its wait() and
-    // before block k+1's dispatch can overwrite them.
+    // spare plan, then helps drain block k in wait(). Each shard
+    // still receives its full sub-stream in stream order — blocks are
+    // dispatched in order and wait() fully drains one block before
+    // the next is submitted — and chunking a TalusCache batch is
+    // bit-exact by that class's contract, so the result matches the
+    // unpipelined path bit-for-bit for any thread count. Block k's
+    // hit slots are gathered after its wait() and before block k+1's
+    // dispatch can overwrite them.
     uint64_t hits = 0;
     uint32_t cur = 0;
     buildTasks(Span<const Addr>(addrs.data(), kPipelineBlock), part,
@@ -192,27 +205,30 @@ ShardedTalusCache::accessBatch(Span<const Addr> addrs, PartId part)
 }
 
 void
+ShardedTalusCache::dispatchControl(ShardTask::Op op, uint64_t epochLen)
+{
+    // One control step per shard on the data-path dispatcher: the
+    // shard's owner or the caller runs it. Each task touches only its
+    // own shard's monitors, control plane, and cache, and the caller
+    // serializes against accessBatch, so the steps are race-free by
+    // construction.
+    std::vector<ShardTask>& tasks = tasks_[0];
+    tasks.clear();
+    for (uint32_t s = 0; s < cfg_.numShards; ++s)
+        tasks.push_back(ShardTask{s, op, 0, nullptr, epochLen});
+    workers_.dispatch(tasks.data(), cfg_.numShards);
+}
+
+void
 ShardedTalusCache::reconfigureAll()
 {
-    // One control step per shard, claimed dynamically by the
-    // WorkerPool. Control stays on the generic pool (not the pinned
-    // data-path workers): steps are rare and heavyweight, so the
-    // pool's handshake cost is irrelevant and its dynamic claiming
-    // load-balances the uneven per-shard compute. Each task touches
-    // only its own shard's monitors, control plane, and cache, and
-    // the caller serializes against accessBatch, so the steps are
-    // race-free by construction.
-    pool_.run(cfg_.numShards,
-              [this](uint32_t s) { shards_[s]->reconfigure(); });
+    dispatchControl(ShardTask::Op::Reconfigure, 0);
 }
 
 void
 ShardedTalusCache::reconfigureAllAtEpoch(uint64_t epochLen)
 {
-    pool_.run(cfg_.numShards, [this, epochLen](uint32_t s) {
-        shards_[s]->prepareReconfigure();
-        shards_[s]->applyReconfigureAtEpoch(epochLen);
-    });
+    dispatchControl(ShardTask::Op::ReconfigureAtEpoch, epochLen);
 }
 
 void

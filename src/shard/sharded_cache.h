@@ -13,15 +13,15 @@
  * sub-stream is driven through TalusCache::accessBatch, and the hit
  * counts are summed from cache-line-padded per-shard slots.
  *
- * With Config::threads > 0 the data path runs on persistent
- * shard-pinned workers (shard/shard_workers.h): each worker owns a
- * fixed subset of shards and is fed ShardTask descriptors through a
- * bounded SPSC ring, so a batch costs one ring push per non-empty
- * shard — no mutex, and no wakeup when batches arrive back-to-back.
- * The control plane (reconfigureAll / reconfigureAllAtEpoch) keeps
- * dispatching on the generic WorkerPool: control steps are rare and
- * heavyweight, so handshake cost is irrelevant there, and the pool's
- * dynamic claiming load-balances the uneven per-shard compute.
+ * With Config::threads > 0 batches and control steps go through one
+ * dispatcher (shard/shard_workers.h): each shard is pinned to a
+ * persistent worker fed ShardTask descriptors through a bounded SPSC
+ * ring, so a batch costs one ring push per non-empty shard — no mutex,
+ * and no wakeup when batches arrive back-to-back. Dispatch is
+ * work-first: instead of idling until the workers finish, the calling
+ * thread runs every task no worker has started. reconfigureAll and
+ * reconfigureAllAtEpoch are one control task per shard on the same
+ * dispatcher, run by the shard's owner or by the caller.
  *
  * Determinism invariant — the subsystem's test anchor: because shards
  * share no state, every shard's hit/miss sequence, monitor state, and
@@ -44,7 +44,6 @@
 #include "api/talus_cache.h"
 #include "shard/shard_router.h"
 #include "shard/shard_workers.h"
-#include "shard/worker_pool.h"
 #include "util/span.h"
 
 namespace talus {
@@ -94,8 +93,9 @@ class ShardedTalusCache
          * Pipeline batch dispatch (threads > 0 only): accessBatch
          * splits large batches into kPipelineBlock-address blocks and
          * scatters block k+1 into a second ScatterPlan while the
-         * pinned workers drain block k, overlapping the producer's
-         * routing pass with the workers' cache compute. Bit-exact
+         * pinned workers drain block k, then helps drain block k,
+         * overlapping the producer's routing pass with the workers'
+         * cache compute. Bit-exact
          * with the unpipelined path for any thread count (per-shard
          * sub-stream order is preserved across blocks, and
          * TalusCache::accessBatch is bit-exact under any blocking).
@@ -114,7 +114,7 @@ class ShardedTalusCache
     };
 
     /**
-     * Builds the router, the N shards, and the worker pool.
+     * Builds the router, the N shards, and the pinned workers.
      *
      * @throws ConfigError if @p config fails Config::validate().
      */
@@ -137,11 +137,13 @@ class ShardedTalusCache
      * per-shard sub-streams (flat count-then-offset scatter,
      * preserving stream order within each shard), drives every
      * non-empty shard's sub-stream through TalusCache::accessBatch —
-     * on that shard's pinned worker when Config::threads > 0 — and
+     * on that shard's pinned worker or the caller when
+     * Config::threads > 0 — and
      * returns the total hit count. Steady state allocates nothing.
      * With Config::pipelineDispatch and threads > 0, batches longer
      * than kPipelineBlock run double-buffered: the caller scatters
-     * block k+1 while the workers drain block k. Bit-exact with
+     * block k+1 while the workers drain block k, then helps drain
+     * block k. Bit-exact with
      * routing each address through access() serially, for any thread
      * count and either pipeline setting.
      */
@@ -150,8 +152,8 @@ class ShardedTalusCache
     /**
      * Runs one synchronous reconfiguration on every shard,
      * dispatching the per-shard control steps (snapshot + pure
-     * ControlStep + apply) concurrently on the worker pool when
-     * Config::threads > 0. Shards share no state, so the result is
+     * ControlStep + apply) concurrently on the pinned workers and the
+     * caller when Config::threads > 0. Shards share no state, so the result is
      * bit-exact with reconfiguring each shard serially.
      */
     void reconfigureAll();
@@ -238,6 +240,10 @@ class ShardedTalusCache
     void buildTasks(Span<const Addr> addrs, PartId part,
                     ScatterPlan& plan, std::vector<ShardTask>& tasks);
 
+    /** Runs one control task of kind @p op on every shard (epochLen
+     *  is the ReconfigureAtEpoch operand). */
+    void dispatchControl(ShardTask::Op op, uint64_t epochLen);
+
     /** Sums the hit slots of exactly the shards @p tasks touched.
      *  Must run after the dispatch that produced them completed and
      *  before the next dispatch overwrites the slots. */
@@ -246,7 +252,6 @@ class ShardedTalusCache
     Config cfg_;
     ShardRouter router_;
     std::vector<std::unique_ptr<TalusCache>> shards_;
-    WorkerPool pool_; //!< Control-plane dispatch only (reconfigure*).
     // Scatter/dispatch/gather scratch, reused across accessBatch
     // calls so the steady state allocates nothing. accessBatch is
     // single-caller (like TalusCache, the engine is externally
