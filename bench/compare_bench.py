@@ -25,12 +25,16 @@ CI perf job is opt-in (workflow_dispatch) rather than part of every PR.
 Refresh the baseline alongside any intentional perf-relevant change:
 
     ./build/bench/perf_micro --benchmark_format=json \
-        --benchmark_min_time=0.5 > bench/BENCH_baseline.json
+        --benchmark_min_time=0.5 --benchmark_repetitions=3 \
+        > bench/BENCH_baseline.json
+
+Every comparison uses each benchmark's median over its repetitions.
 """
 
 import argparse
 import json
 import os
+import statistics
 import sys
 
 # Hot-path benchmarks the gate tracks by default; must stay in sync
@@ -58,13 +62,6 @@ DEFAULT_TRACKED = [
     # configuration, tracked so ring-dispatch overhead regressions
     # show up without needing a many-core host.
     "BM_ShardedBatchedAccess/shards:4/threads:1/real_time",
-    # Double-buffered pipelined dispatch (PR 10): multi-block batches
-    # with pipelining off (serial reference) and on. Both rows are
-    # tracked against the baseline; the pipeline:1 >= pipeline:0
-    # expectation is a SCALING_INVARIANTS entry, gated on >= 2 CPUs
-    # (on one core the producer and worker just time-slice).
-    "BM_ShardedPipelinedAccess/pipeline:0/real_time",
-    "BM_ShardedPipelinedAccess/pipeline:1/real_time",
     # Control plane (PR 5): the pure compute stage and the all-shard
     # reconfiguration sweep. As above, only the inline-dispatch row of
     # the sweep is tracked; the threaded rows depend on core count.
@@ -98,12 +95,6 @@ SCALING_INVARIANTS = [
      "BM_ShardedBatchedAccess/shards:4/threads:4/real_time", 4),
     ("BM_ServingClosedLoop/shards:4/threads:0/real_time",
      "BM_ServingClosedLoop/shards:4/threads:4/real_time", 4),
-    # Pipelined dispatch (PR 10): overlapping the caller's scatter of
-    # block k+1 with the worker's drain of block k must not lose to
-    # serial dispatch. Needs two CPUs — producer and worker time-slice
-    # on one core, making the comparison noise.
-    ("BM_ShardedPipelinedAccess/pipeline:0/real_time",
-     "BM_ShardedPipelinedAccess/pipeline:1/real_time", 2),
 ]
 
 # Bounded-overhead invariants, checked on the current run alone: each
@@ -134,14 +125,17 @@ def throughput(entry):
 
 
 def load(path):
+    """Per-benchmark throughput: the median over that name's
+    repetition entries (--benchmark_repetitions), so one noisy
+    repetition cannot pass or fail the gate on its own."""
     with open(path) as f:
         data = json.load(f)
-    out = {}
+    runs = {}
     for entry in data.get("benchmarks", []):
         if entry.get("run_type") == "aggregate":
             continue
-        out[entry["name"]] = throughput(entry)
-    return out
+        runs.setdefault(entry["name"], []).append(throughput(entry))
+    return {name: statistics.median(vals) for name, vals in runs.items()}
 
 
 def check_scaling(curr, skip):

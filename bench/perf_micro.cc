@@ -329,43 +329,6 @@ BENCHMARK(BM_ShardedBatchedAccess)
     ->UseRealTime();
 
 /**
- * Pipelined vs serial dispatch on batches spanning several
- * kPipelineBlock blocks (the only shape where the double-buffered
- * scatter can engage): one worker thread, so the overlap measured is
- * precisely "caller scatters block k+1 while the worker drains block
- * k". pipeline:0 is the serial scatter-then-wait reference of the
- * same configuration. On single-core hosts the two rows converge (the
- * caller and worker time-slice); compare_bench.py only enforces
- * pipeline:1 >= pipeline:0 on hosts with >= 2 CPUs.
- */
-void
-BM_ShardedPipelinedAccess(benchmark::State& state)
-{
-    const size_t kBatch = 4 * ShardedTalusCache::kPipelineBlock;
-    ShardedTalusCache::Config cfg;
-    cfg.shard = facadeBenchConfig();
-    cfg.shard.llcLines = 16384 / 4;
-    cfg.numShards = 4;
-    cfg.threads = 1;
-    cfg.pipelineDispatch = state.range(0) != 0;
-    ShardedTalusCache cache(cfg);
-    const std::vector<Addr> addrs = facadeBenchAddrs();
-    size_t off = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(cache.accessBatch(
-            Span<const Addr>(addrs.data() + off, kBatch), 0));
-        off = (off + kBatch) & (addrs.size() - 1);
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(kBatch));
-}
-BENCHMARK(BM_ShardedPipelinedAccess)
-    ->ArgName("pipeline")
-    ->Arg(0)
-    ->Arg(1)
-    ->UseRealTime();
-
-/**
  * Replays a prebuilt power-of-two address buffer, cycling forever —
  * generation is an indexed copy, so the serving benches measure the
  * serving path, not workload math.

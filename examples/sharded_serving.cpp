@@ -22,7 +22,7 @@
  *
  * Build & run:  ./build/examples/sharded_serving
  *               [--shards=N] [--threads=N] [--accesses=N]
- *               [--reconfig=N] [--pipeline=0|1] [--csv]
+ *               [--reconfig=N] [--csv]
  */
 
 #include <cstdio>
@@ -50,7 +50,6 @@ main(int argc, char** argv)
     cfg.shard.reconfigInterval =
         env.reconfig > 0 ? env.reconfig : 50'000;
     cfg.shard.seed = env.seed;
-    cfg.pipelineDispatch = env.pipeline;
 
     ShardedReplayOptions replay;
     replay.accesses = env.measureAccesses * 4;

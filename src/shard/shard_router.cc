@@ -39,18 +39,4 @@ ShardRouter::scatterFlat(Span<const Addr> addrs, ScatterPlan& plan) const
         plan.buf_[plan.cursors_[plan.routes_[i]]++] = addrs[i];
 }
 
-void
-ShardRouter::scatter(Span<const Addr> addrs,
-                     std::vector<std::vector<Addr>>& per_shard) const
-{
-    // Resize only on shard-count changes so a reused @p per_shard
-    // keeps every bucket's capacity across batches.
-    if (per_shard.size() != numShards_)
-        per_shard.resize(numShards_);
-    for (std::vector<Addr>& bucket : per_shard)
-        bucket.clear();
-    for (Addr addr : addrs)
-        per_shard[route(addr)].push_back(addr);
-}
-
 } // namespace talus

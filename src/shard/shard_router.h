@@ -104,23 +104,12 @@ class ShardRouter
      * Flat count-then-offset scatter — the serving hot path. Pass 1
      * routes every address once (caching the route) and counts per
      * shard; pass 2 places each address at its shard's cursor in one
-     * contiguous buffer. Stream order is preserved within each shard,
-     * exactly like the nested scatter(). @p plan's buffers are reused
-     * across calls, so the steady state allocates nothing.
+     * contiguous buffer. Stream order is preserved within each shard:
+     * shard s receives exactly the addresses with route(addr) == s,
+     * in stream order. @p plan's buffers are reused across calls, so
+     * the steady state allocates nothing.
      */
     void scatterFlat(Span<const Addr> addrs, ScatterPlan& plan) const;
-
-    /**
-     * Nested-buffer scatter, preserving the original order within
-     * each shard — shard s receives exactly the sub-stream of
-     * addresses with route(addr) == s, in stream order. Reuses
-     * @p per_shard's buckets (the outer vector is resized only when
-     * the shard count changed), so it is allocation-free in steady
-     * state; new code on the hot path should still prefer
-     * scatterFlat(), which keeps all sub-streams in one buffer.
-     */
-    void scatter(Span<const Addr> addrs,
-                 std::vector<std::vector<Addr>>& per_shard) const;
 
     /** Number of shards routed across. */
     uint32_t numShards() const { return numShards_; }

@@ -87,7 +87,7 @@ PinnedWorkers::~PinnedWorkers()
 }
 
 void
-PinnedWorkers::dispatchAsync(const ShardTask* tasks, uint32_t count)
+PinnedWorkers::dispatch(const ShardTask* tasks, uint32_t count)
 {
     if (count == 0)
         return;
@@ -102,12 +102,9 @@ PinnedWorkers::dispatchAsync(const ShardTask* tasks, uint32_t count)
     const bool was_dispatching =
         dispatching_.exchange(true, std::memory_order_acquire);
     talus_assert(!was_dispatching,
-                 "PinnedWorkers dispatch is not reentrant: wait() "
-                 "before the next dispatchAsync(), and dispatch from "
-                 "one thread only");
+                 "PinnedWorkers dispatch is not reentrant: one "
+                 "dispatch() at a time, from one thread only");
 
-    tasks_ = tasks;
-    count_ = count;
     const uint64_t epoch = ++epoch_;
     pending_.store(count, std::memory_order_relaxed);
     std::fill(touched_.begin(), touched_.end(), uint8_t{0});
@@ -123,7 +120,8 @@ PinnedWorkers::dispatchAsync(const ShardTask* tasks, uint32_t count)
         claims_[s].store(2 * epoch, std::memory_order_relaxed);
         const uint32_t w = ownerOf(s);
         // A full ring means the owner fell behind on stale entries:
-        // skip the push, and wait() runs the task on the caller.
+        // skip the push, and the tail walk below runs the task on the
+        // caller.
         if (!workers_[w]->ring.tryPush(Posted{tasks[i], epoch}))
             continue;
         touched_[w] = 1;
@@ -157,20 +155,13 @@ PinnedWorkers::dispatchAsync(const ShardTask* tasks, uint32_t count)
                 workers_[w]->wakes->inc();
         }
     }
-}
 
-void
-PinnedWorkers::wait()
-{
-    if (threads_.empty() ||
-        !dispatching_.load(std::memory_order_relaxed))
-        return;
     // Work first: run every task no worker has claimed, from the tail
     // (the workers pop from the head of their rings).
     uint64_t ran = 0;
-    for (uint32_t i = count_; i-- > 0;) {
-        if (claim(tasks_[i].shard, epoch_)) {
-            exec_(tasks_[i]);
+    for (uint32_t i = count; i-- > 0;) {
+        if (claim(tasks[i].shard, epoch)) {
+            exec_(tasks[i]);
             ++ran;
         }
     }
@@ -227,7 +218,7 @@ PinnedWorkers::workerLoop(Worker& w)
             std::this_thread::yield();
         } else {
             // Park. Flag first, fence, then one last ring check: the
-            // producer's fence-then-flag-read (dispatchAsync())
+            // producer's fence-then-flag-read (dispatch())
             // guarantees that if it skipped the notify, our recheck
             // sees its push.
             w.parked.store(true, std::memory_order_relaxed);

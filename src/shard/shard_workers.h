@@ -10,9 +10,10 @@
  *    (shard/spsc_ring.h): dispatching is one ring push per task plus
  *    one atomic pending counter, no mutex on the submit path.
  *  - Work-first: the caller does not sit idle while the workers run.
- *    wait() walks the dispatched tasks from the tail and runs every
- *    one no worker has started, then waits for the rest. Workers pop
- *    from the head of their rings, so the two meet in the middle.
+ *    After posting, dispatch() walks the tasks from the tail and runs
+ *    every one no worker has started, then waits for the rest.
+ *    Workers pop from the head of their rings, so the two meet in the
+ *    middle.
  *  - Every task carries an epoch-tagged claim word (one per shard):
  *    whoever wins the claim — the owning worker or the caller — runs
  *    the task, exactly once. A ring entry the caller already claimed
@@ -23,10 +24,10 @@
  *    condition variable. The producer touches a worker's parking
  *    mutex only when that worker has actually parked.
  *
- * Determinism: a dispatch holds at most one task per shard and wait()
- * completes every task before the next dispatch, so each shard's tasks
- * run in submission order, one thread at a time — on its owner or on
- * the caller. Shards share no state, so results are bit-exact with
+ * Determinism: a dispatch holds at most one task per shard and
+ * completes every task before it returns, so each shard's tasks run
+ * in submission order, one thread at a time — on its owner or on the
+ * caller. Shards share no state, so results are bit-exact with
  * inline execution (threads == 0) for any thread count.
  */
 
@@ -69,7 +70,7 @@ struct ShardTask
     Op op = Op::Access;         //!< The work to do.
     PartId part = 0;            //!< Logical partition of the batch.
     const Addr* data = nullptr; //!< Sub-batch base. Borrowed: must stay
-                                //!< valid until wait() returns.
+                                //!< valid until dispatch() returns.
     uint64_t count = 0;         //!< Addresses in the sub-batch, or the
                                 //!< epoch length (ReconfigureAtEpoch).
 };
@@ -86,8 +87,8 @@ class PinnedWorkers
     /**
      * Starts @p threads persistent workers, each owning the shards
      * s in [0, num_shards) with s % threads == its index. threads == 0
-     * starts none: dispatchAsync() runs every task inline, in
-     * submission order, on the calling thread — the
+     * starts none: dispatch() runs every task inline, in submission
+     * order, on the calling thread — the
      * deterministic-debugging mode the threaded modes must match
      * bit-for-bit.
      *
@@ -114,40 +115,16 @@ class PinnedWorkers
      * Runs tasks[0..count) and returns once every task finished (with
      * release/acquire publication, so the caller sees all worker
      * writes). Each task runs exactly once, on its shard's owning
-     * worker or on the caller. A dispatch may name each shard at most
-     * once (enforced by a talus_assert); tasks of one dispatch run in
-     * any order. Not reentrant: one dispatch() at a time, from one
-     * thread (enforced by a talus_assert).
+     * worker or on the caller: the caller posts every task to its
+     * owner's ring, then walks the tasks from the tail and runs each
+     * one no worker has claimed, then waits for the rest. A dispatch
+     * may name each shard at most once (enforced by a talus_assert);
+     * tasks of one dispatch run in any order. Not reentrant: one
+     * dispatch() at a time, from one thread (enforced by a
+     * talus_assert). With threads == 0 the tasks run inline, in
+     * submission order, on the caller.
      */
-    void dispatch(const ShardTask* tasks, uint32_t count)
-    {
-        dispatchAsync(tasks, count);
-        wait();
-    }
-
-    /**
-     * Submission half of dispatch(): posts every task's claim, pushes
-     * it to its owning worker's ring, wakes parked workers, and
-     * returns WITHOUT waiting — the producer can overlap its own work
-     * (scattering the next block) with the drain. With threads == 0
-     * the tasks run inline here, so async and sync modes stay
-     * bit-exact.
-     *
-     * Exactly one async dispatch may be outstanding: call wait()
-     * before the next dispatchAsync() (enforced by the same
-     * reentrancy trap dispatch() uses). The task descriptors and the
-     * sub-batches they point at must stay valid until wait() returns.
-     */
-    void dispatchAsync(const ShardTask* tasks, uint32_t count);
-
-    /**
-     * Completion half of dispatch(): runs, from the tail, every task
-     * of the outstanding dispatchAsync() that no worker has claimed,
-     * then returns once the rest finished, with the same release/
-     * acquire publication dispatch() provides. No-op when nothing is
-     * outstanding (or threads == 0).
-     */
-    void wait();
+    void dispatch(const ShardTask* tasks, uint32_t count);
 
     /** Worker threads (0 = inline execution). */
     uint32_t threadCount() const
@@ -185,7 +162,7 @@ class PinnedWorkers
         uint64_t hwm = 0;
         /** True while the worker sleeps on cv (set by the worker
          *  before its final empty-ring recheck; the seq_cst fences in
-         *  workerLoop()/dispatchAsync() make flag and ring visible in
+         *  workerLoop()/dispatch() make flag and ring visible in
          *  a consistent order, so a push is never silently missed). */
         std::atomic<bool> parked{false};
         std::mutex mu;
@@ -205,12 +182,10 @@ class PinnedWorkers
      *  posted, 2e + 1 once someone claimed it. A ring entry of an
      *  older epoch therefore never wins. */
     std::vector<std::atomic<uint64_t>> claims_;
-    // Caller-owned state of the outstanding dispatch.
-    const ShardTask* tasks_ = nullptr;
-    uint32_t count_ = 0;
+    // Caller-owned dispatch state.
     uint64_t epoch_ = 0;
     std::vector<uint8_t> touched_; //!< Workers fed this dispatch.
-    Counter* callerTasks_ = nullptr; //!< Tasks wait() ran (or null).
+    Counter* callerTasks_ = nullptr; //!< Caller-run tasks, or null.
     std::atomic<uint64_t> pending_{0}; //!< Tasks not yet finished.
     std::atomic<bool> stop_{false};
     std::atomic<bool> dispatching_{false}; //!< Reentrancy trap.

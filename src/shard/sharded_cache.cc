@@ -1,6 +1,5 @@
 #include "shard/sharded_cache.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "obs/registry.h"
@@ -112,8 +111,7 @@ ShardedTalusCache::ShardedTalusCache(const Config& config)
     for (uint32_t s = 0; s < cfg_.numShards; ++s)
         shards_.push_back(
             std::make_unique<TalusCache>(shardConfig(cfg_, s)));
-    tasks_[0].reserve(cfg_.numShards);
-    tasks_[1].reserve(cfg_.numShards);
+    tasks_.reserve(cfg_.numShards);
     shardHits_.resize(cfg_.numShards);
 }
 
@@ -123,84 +121,29 @@ ShardedTalusCache::access(Addr addr, PartId part)
     return shards_[router_.route(addr)]->access(addr, part);
 }
 
-void
-ShardedTalusCache::buildTasks(Span<const Addr> addrs, PartId part,
-                              ScatterPlan& plan,
-                              std::vector<ShardTask>& tasks)
-{
-    // Flat scatter, then one ShardTask per non-empty shard. Skipping
-    // empty shards is bit-exact (TalusCache::accessBatch on an empty
-    // span is a no-op) and matters on skewed traces, where small
-    // batches leave most shards without work.
-    router_.scatterFlat(addrs, plan);
-    tasks.clear();
-    for (uint32_t s = 0; s < cfg_.numShards; ++s) {
-        const uint64_t n = plan.count(s);
-        if (n != 0)
-            tasks.push_back(ShardTask{s, ShardTask::Op::Access, part,
-                                      plan.shardData(s), n});
-    }
-}
-
-uint64_t
-ShardedTalusCache::gatherHits(const std::vector<ShardTask>& tasks) const
-{
-    uint64_t hits = 0;
-    for (const ShardTask& t : tasks)
-        hits += shardHits_[t.shard].value;
-    return hits;
-}
-
 uint64_t
 ShardedTalusCache::accessBatch(Span<const Addr> addrs, PartId part)
 {
     if (addrs.empty())
         return 0;
-    const uint64_t n = addrs.size();
-    if (workers_.threadCount() == 0 || !cfg_.pipelineDispatch ||
-        n <= kPipelineBlock) {
-        // Unpipelined: one scatter, one blocking dispatch. Also the
-        // path for single-block batches, where there is nothing to
-        // overlap and the extra wait()/gather bookkeeping would be
-        // pure overhead.
-        buildTasks(addrs, part, plans_[0], tasks_[0]);
-        workers_.dispatch(tasks_[0].data(),
-                          static_cast<uint32_t>(tasks_[0].size()));
-        return gatherHits(tasks_[0]);
+    // Flat scatter, then one ShardTask per non-empty shard. Skipping
+    // empty shards is bit-exact (TalusCache::accessBatch on an empty
+    // span is a no-op) and matters on skewed traces, where small
+    // batches leave most shards without work.
+    router_.scatterFlat(addrs, plan_);
+    tasks_.clear();
+    for (uint32_t s = 0; s < cfg_.numShards; ++s) {
+        const uint64_t n = plan_.count(s);
+        if (n != 0)
+            tasks_.push_back(ShardTask{s, ShardTask::Op::Access, part,
+                                       plan_.shardData(s), n});
     }
-
-    // Pipelined: while the pinned workers drain block k (submitted
-    // with dispatchAsync), the caller scatters block k+1 into the
-    // spare plan, then helps drain block k in wait(). Each shard
-    // still receives its full sub-stream in stream order — blocks are
-    // dispatched in order and wait() fully drains one block before
-    // the next is submitted — and chunking a TalusCache batch is
-    // bit-exact by that class's contract, so the result matches the
-    // unpipelined path bit-for-bit for any thread count. Block k's
-    // hit slots are gathered after its wait() and before block k+1's
-    // dispatch can overwrite them.
+    workers_.dispatch(tasks_.data(),
+                      static_cast<uint32_t>(tasks_.size()));
+    // Gather exactly the slots this dispatch wrote.
     uint64_t hits = 0;
-    uint32_t cur = 0;
-    buildTasks(Span<const Addr>(addrs.data(), kPipelineBlock), part,
-               plans_[cur], tasks_[cur]);
-    workers_.dispatchAsync(tasks_[cur].data(),
-                           static_cast<uint32_t>(tasks_[cur].size()));
-    uint64_t off = kPipelineBlock;
-    while (off < n) {
-        const uint64_t len = std::min(kPipelineBlock, n - off);
-        const uint32_t nxt = cur ^ 1u;
-        buildTasks(Span<const Addr>(addrs.data() + off, len), part,
-                   plans_[nxt], tasks_[nxt]);
-        workers_.wait();
-        hits += gatherHits(tasks_[cur]);
-        workers_.dispatchAsync(
-            tasks_[nxt].data(),
-            static_cast<uint32_t>(tasks_[nxt].size()));
-        cur = nxt;
-        off += len;
-    }
-    workers_.wait();
-    hits += gatherHits(tasks_[cur]);
+    for (const ShardTask& t : tasks_)
+        hits += shardHits_[t.shard].value;
     return hits;
 }
 
@@ -212,11 +155,10 @@ ShardedTalusCache::dispatchControl(ShardTask::Op op, uint64_t epochLen)
     // own shard's monitors, control plane, and cache, and the caller
     // serializes against accessBatch, so the steps are race-free by
     // construction.
-    std::vector<ShardTask>& tasks = tasks_[0];
-    tasks.clear();
+    tasks_.clear();
     for (uint32_t s = 0; s < cfg_.numShards; ++s)
-        tasks.push_back(ShardTask{s, op, 0, nullptr, epochLen});
-    workers_.dispatch(tasks.data(), cfg_.numShards);
+        tasks_.push_back(ShardTask{s, op, 0, nullptr, epochLen});
+    workers_.dispatch(tasks_.data(), cfg_.numShards);
 }
 
 void
@@ -229,12 +171,6 @@ void
 ShardedTalusCache::reconfigureAllAtEpoch(uint64_t epochLen)
 {
     dispatchControl(ShardTask::Op::ReconfigureAtEpoch, epochLen);
-}
-
-void
-ShardedTalusCache::reconfigure()
-{
-    reconfigureAll();
 }
 
 TalusCache::PartStats

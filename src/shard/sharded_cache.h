@@ -62,16 +62,6 @@ class ShardedTalusCache
      */
     static constexpr uint32_t kMaxShards = 1024;
 
-    /**
-     * Addresses per pipelined dispatch block (Config::
-     * pipelineDispatch): large enough that per-block dispatch costs
-     * amortize (one ring push per non-empty shard per block), small
-     * enough that two in-flight blocks' scatter buffers stay
-     * cache-resident. Batches no longer than one block run the
-     * unpipelined path — there is nothing to overlap.
-     */
-    static constexpr uint64_t kPipelineBlock = 4096;
-
     /** Shard-layer configuration wrapping one per-shard Config. */
     struct Config
     {
@@ -88,22 +78,6 @@ class ShardedTalusCache
         std::optional<uint64_t> routerSeed; //!< Address->shard H3
                                             //!< seed; unset derives
                                             //!< it from shard.seed.
-
-        /**
-         * Pipeline batch dispatch (threads > 0 only): accessBatch
-         * splits large batches into kPipelineBlock-address blocks and
-         * scatters block k+1 into a second ScatterPlan while the
-         * pinned workers drain block k, then helps drain block k,
-         * overlapping the producer's routing pass with the workers'
-         * cache compute. Bit-exact
-         * with the unpipelined path for any thread count (per-shard
-         * sub-stream order is preserved across blocks, and
-         * TalusCache::accessBatch is bit-exact under any blocking).
-         * Off = one scatter + one dispatch per batch, the PR 9
-         * behaviour, kept as a knob for A/B measurement
-         * (BenchEnv --pipeline / TALUS_PIPELINE).
-         */
-        bool pipelineDispatch = true;
 
         /**
          * Validates the configuration (including the embedded
@@ -138,14 +112,10 @@ class ShardedTalusCache
      * preserving stream order within each shard), drives every
      * non-empty shard's sub-stream through TalusCache::accessBatch —
      * on that shard's pinned worker or the caller when
-     * Config::threads > 0 — and
-     * returns the total hit count. Steady state allocates nothing.
-     * With Config::pipelineDispatch and threads > 0, batches longer
-     * than kPipelineBlock run double-buffered: the caller scatters
-     * block k+1 while the workers drain block k, then helps drain
-     * block k. Bit-exact with
+     * Config::threads > 0 — in one dispatch, and returns the total
+     * hit count. Steady state allocates nothing. Bit-exact with
      * routing each address through access() serially, for any thread
-     * count and either pipeline setting.
+     * count.
      */
     uint64_t accessBatch(Span<const Addr> addrs, PartId part = 0);
 
@@ -170,10 +140,6 @@ class ShardedTalusCache
      * thread count and any batch blocking.
      */
     void reconfigureAllAtEpoch(uint64_t epochLen);
-
-    /** Alias of reconfigureAll(), kept for the TalusCache-shaped
-     *  surface. */
-    void reconfigure();
 
     /**
      * Aggregate snapshot of logical partition @p part across all
@@ -234,20 +200,9 @@ class ShardedTalusCache
         uint64_t value = 0;
     };
 
-    /** Scatters @p addrs and rebuilds @p tasks with one ShardTask per
-     *  non-empty shard (empty shards are skipped — bit-exact, since
-     *  an empty sub-batch is a no-op). */
-    void buildTasks(Span<const Addr> addrs, PartId part,
-                    ScatterPlan& plan, std::vector<ShardTask>& tasks);
-
     /** Runs one control task of kind @p op on every shard (epochLen
      *  is the ReconfigureAtEpoch operand). */
     void dispatchControl(ShardTask::Op op, uint64_t epochLen);
-
-    /** Sums the hit slots of exactly the shards @p tasks touched.
-     *  Must run after the dispatch that produced them completed and
-     *  before the next dispatch overwrites the slots. */
-    uint64_t gatherHits(const std::vector<ShardTask>& tasks) const;
 
     Config cfg_;
     ShardRouter router_;
@@ -255,11 +210,9 @@ class ShardedTalusCache
     // Scatter/dispatch/gather scratch, reused across accessBatch
     // calls so the steady state allocates nothing. accessBatch is
     // single-caller (like TalusCache, the engine is externally
-    // synchronized). Two plan/task pairs so the pipelined path can
-    // scatter block k+1 while the workers still read block k's plan;
-    // the unpipelined path only ever uses index 0.
-    ScatterPlan plans_[2];
-    std::vector<ShardTask> tasks_[2];
+    // synchronized).
+    ScatterPlan plan_;
+    std::vector<ShardTask> tasks_;
     std::vector<PaddedHits> shardHits_;
     // Data-path workers. Declared last: its destructor joins the
     // worker threads, which must happen while shards_ and the scratch

@@ -13,10 +13,8 @@
 #define TALUS_UTIL_H3_HASH_H
 
 #include <array>
-#include <cstddef>
 #include <cstdint>
 
-#include "util/span.h"
 #include "util/types.h"
 
 namespace talus {
@@ -75,21 +73,6 @@ class H3Hash
                table_[5][(addr >> 40) & 0xFF] ^
                table_[6][(addr >> 48) & 0xFF] ^
                table_[7][(addr >> 56) & 0xFF];
-    }
-
-    /**
-     * Hashes a whole block of addresses into @p out (which must hold
-     * at least addrs.size() entries). Bit-exact with calling hash()
-     * per element; the single tight loop over the byte-sliced tables
-     * lets the compiler unroll and pipeline the table loads across
-     * addresses, which a per-access call boundary defeats.
-     */
-    void hashBlock(Span<const Addr> addrs, uint32_t* out) const
-    {
-        const Addr* a = addrs.data();
-        const size_t n = addrs.size();
-        for (size_t i = 0; i < n; ++i)
-            out[i] = hash(a[i]);
     }
 
     /** Hashes to a real number in [0, 1). */

@@ -14,8 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "core/shadow_router.h"
 #include "util/h3_hash.h"
 #include "util/rng.h"
@@ -118,33 +116,6 @@ TEST(H3Golden, SmallAddressFastPathIsBitExact)
             const Addr mid = rng.below(1ull << 32);
             ASSERT_EQ(h.hash(small), h.hashReference(small));
             ASSERT_EQ(h.hash(mid), h.hashReference(mid));
-        }
-    }
-}
-
-TEST(H3Golden, HashBlockMatchesPerAddressCalls)
-{
-    // hashBlock is the batched-access fast path; it must be bit-exact
-    // with per-address hash() calls for every length, including the
-    // degenerate 0/1 blocks and odd tails that defeat unrolling.
-    Rng rng(0x5EED);
-    for (const uint64_t seed : {0x1905CAFEull, 0x707ull, 0xC3Bull}) {
-        H3Hash h(32, seed);
-        for (const size_t n : {size_t(0), size_t(1), size_t(2),
-                               size_t(7), size_t(63), size_t(257)}) {
-            std::vector<Addr> addrs(n);
-            for (auto& a : addrs) {
-                // Mix full-width and small addresses so the block
-                // exercises all of hash()'s internal paths.
-                a = (rng.below(3) == 0) ? rng.below(1ull << 16)
-                                        : rng.next64();
-            }
-            std::vector<uint32_t> block(n, 0xA5A5A5A5u);
-            h.hashBlock(Span<const Addr>(addrs.data(), n),
-                        block.data());
-            for (size_t i = 0; i < n; ++i)
-                ASSERT_EQ(block[i], h.hash(addrs[i]))
-                    << "seed=" << seed << " n=" << n << " i=" << i;
         }
     }
 }

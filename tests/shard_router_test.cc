@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "shard/shard_router.h"
@@ -57,25 +58,27 @@ TEST(ShardRouter, ScatterPartitionsAndPreservesOrder)
 {
     const ShardRouter router(4, 0x50C4);
     const std::vector<Addr> addrs = uniformAddrs(20'000, 7);
-    std::vector<std::vector<Addr>> per_shard;
-    router.scatter(Span<const Addr>(addrs), per_shard);
+    ScatterPlan plan;
+    router.scatterFlat(Span<const Addr>(addrs), plan);
 
-    ASSERT_EQ(per_shard.size(), 4u);
+    ASSERT_EQ(plan.numShards(), 4u);
+    EXPECT_EQ(plan.total(), addrs.size());
     uint64_t total = 0;
     for (uint32_t s = 0; s < 4; ++s) {
-        total += per_shard[s].size();
-        for (Addr a : per_shard[s])
+        total += plan.count(s);
+        for (Addr a : plan.shardSpan(s))
             EXPECT_EQ(router.route(a), s);
     }
     EXPECT_EQ(total, addrs.size());
 
     // Replaying the original stream and popping each address from the
-    // front of its shard's bucket must consume every bucket in order.
-    std::vector<size_t> next(4, 0);
+    // front of its shard's sub-stream must consume every sub-stream
+    // in order.
+    std::vector<uint64_t> next(4, 0);
     for (Addr a : addrs) {
         const uint32_t s = router.route(a);
-        ASSERT_LT(next[s], per_shard[s].size());
-        EXPECT_EQ(per_shard[s][next[s]], a);
+        ASSERT_LT(next[s], plan.count(s));
+        EXPECT_EQ(plan.shardSpan(s)[next[s]], a);
         next[s]++;
     }
 }
@@ -86,12 +89,18 @@ TEST(ShardRouter, ScatterReusesBuffersWithoutAccumulating)
     const std::vector<Addr> first = uniformAddrs(900, 13);
     const std::vector<Addr> second = uniformAddrs(300, 17);
 
-    std::vector<std::vector<Addr>> buckets;
-    router.scatter(Span<const Addr>(first), buckets);
-    router.scatter(Span<const Addr>(second), buckets);
+    ScatterPlan plan;
+    router.scatterFlat(Span<const Addr>(first), plan);
+    router.scatterFlat(Span<const Addr>(second), plan);
+    EXPECT_EQ(plan.total(), second.size());
     uint64_t total = 0;
-    for (const auto& bucket : buckets)
-        total += bucket.size();
+    for (uint32_t s = 0; s < plan.numShards(); ++s) {
+        total += plan.count(s);
+        // The second scatter alone: every sub-stream is second's.
+        for (Addr a : plan.shardSpan(s))
+            EXPECT_NE(std::find(second.begin(), second.end(), a),
+                      second.end());
+    }
     EXPECT_EQ(total, second.size());
 }
 

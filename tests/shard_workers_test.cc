@@ -117,18 +117,7 @@ TEST_P(PinnedWorkersGrid, EveryTaskOnceInSubmissionOrderPerShard)
                 tasks.push_back(t);
             }
             submitted += n;
-            if (d % 3 == 0) {
-                // The pipelined pattern: submit, do caller-side work,
-                // then help drain.
-                workers.dispatchAsync(tasks.data(), n);
-                uint64_t busy = d;
-                for (int i = 0; i < 200; ++i)
-                    busy = busy * 31 + 7;
-                EXPECT_NE(busy, 0u);
-                workers.wait();
-            } else {
-                workers.dispatch(tasks.data(), n);
-            }
+            workers.dispatch(tasks.data(), n);
             // dispatch() returned: every task of it finished.
             ASSERT_EQ(runs.load(), submitted) << "dispatch " << d;
         }
@@ -156,11 +145,8 @@ TEST(PinnedWorkers, InlineModeRunsInSubmissionOrderOnCaller)
     });
     EXPECT_EQ(workers.threadCount(), 0u);
     const ShardTask tasks[] = {{2}, {0}, {3}, {1}};
-    workers.dispatchAsync(tasks, 4);
-    // Inline: already ran, in submission order; wait() is a no-op.
+    workers.dispatch(tasks, 4);
     EXPECT_EQ(order, (std::vector<uint32_t>{2, 0, 3, 1}));
-    workers.wait();
-    EXPECT_EQ(order.size(), 4u);
 }
 
 TEST(PinnedWorkers, StalledWorkerLeavesItsTasksToTheCaller)
@@ -168,7 +154,9 @@ TEST(PinnedWorkers, StalledWorkerLeavesItsTasksToTheCaller)
     // One worker owns all four shards. Its executor blocks on shard
     // 0's task, so the caller, walking from the tail, claims shards
     // 3, 2 and 1 — whose ring entries the worker then pops stale. The
-    // caller's last task (shard 1) releases the worker.
+    // caller's first task (shard 3) holds until the worker is inside
+    // shard 0, so shard 0 always goes to the worker; the caller's
+    // last task (shard 1) releases the worker.
     MetricRegistry reg;
     const std::thread::id caller = std::this_thread::get_id();
     std::atomic<bool> workerEntered{false};
@@ -185,6 +173,10 @@ TEST(PinnedWorkers, StalledWorkerLeavesItsTasksToTheCaller)
                 while (!gateOpen.load())
                     std::this_thread::yield();
             }
+            if (onCaller && t.shard == 3 && t.count == 1) {
+                while (!workerEntered.load())
+                    std::this_thread::yield();
+            }
             if (onCaller && t.shard == 1 && t.count == 1)
                 gateOpen.store(true);
         },
@@ -198,10 +190,7 @@ TEST(PinnedWorkers, StalledWorkerLeavesItsTasksToTheCaller)
                                  {1, ShardTask::Op::Access, 0, nullptr, 1},
                                  {2, ShardTask::Op::Access, 0, nullptr, 1},
                                  {3, ShardTask::Op::Access, 0, nullptr, 1}};
-    workers.dispatchAsync(stalled, 4);
-    while (!workerEntered.load())
-        std::this_thread::yield();
-    workers.wait();
+    workers.dispatch(stalled, 4);
     EXPECT_EQ(ranOnWorker[0].load(), 1u);
     for (uint32_t s = 1; s < 4; ++s) {
         EXPECT_EQ(ranOnCaller[s].load(), 1u) << "shard " << s;
@@ -248,15 +237,8 @@ TEST(PinnedWorkers, StalledWorkerLeavesItsTasksToTheCaller)
 TEST(PinnedWorkersDeathTest, DispatchIsNotReentrant)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    auto dispatchTwice = [] {
-        PinnedWorkers workers(1, 2, [](const ShardTask&) {});
-        const ShardTask t[] = {{0}, {1}};
-        workers.dispatchAsync(t, 2);
-        workers.dispatchAsync(t, 2);
-    };
-    EXPECT_DEATH(dispatchTwice(), "not reentrant");
-    // A task that dispatches again trips the same trap, on whichever
-    // thread runs it.
+    // A task that dispatches again trips the reentrancy trap, on
+    // whichever thread runs it.
     auto dispatchFromTask = [] {
         PinnedWorkers* self = nullptr;
         const ShardTask t[] = {{0}};

@@ -109,14 +109,11 @@ runHandBuilt(const ShardedTalusCache::Config& cfg,
     ShardTrace trace;
     trace.blockMisses.resize(cfg.numShards);
     std::vector<uint64_t> last_misses(cfg.numShards, 0);
-    std::vector<std::vector<Addr>> per_shard;
     for (size_t off = 0; off < addrs.size(); off += block_size) {
         const size_t n = std::min(block_size, addrs.size() - off);
-        router.scatter(Span<const Addr>(addrs.data() + off, n),
-                       per_shard);
-        for (uint32_t s = 0; s < cfg.numShards; ++s)
-            for (Addr a : per_shard[s])
-                trace.totalHits += serial[s]->access(a, 0);
+        for (size_t i = off; i < off + n; ++i)
+            trace.totalHits +=
+                serial[router.route(addrs[i])]->access(addrs[i], 0);
         for (uint32_t s = 0; s < cfg.numShards; ++s) {
             const uint64_t misses = serial[s]->stats(0).misses;
             trace.blockMisses[s].push_back(misses - last_misses[s]);
@@ -470,63 +467,54 @@ TEST(ShardedCache, EpochDeferredReconfigureIsThreadCountInvariant)
     EXPECT_EQ(run(1), inline_engine.reconfigurations());
 }
 
-// --- Pipelined dispatch (PR 10). --------------------------------------
+// --- Large and ragged batches. ----------------------------------------
 
-ShardedTalusCache::Config
-pipelineConfig(uint32_t shards, uint32_t threads, bool pipeline)
-{
-    ShardedTalusCache::Config cfg = engineConfig(shards, threads);
-    cfg.pipelineDispatch = pipeline;
-    return cfg;
-}
+/** The batch-shape unit below: shapes straddle multiples of it. */
+constexpr uint64_t kBlock = 4096;
 
 /**
- * Double-buffered dispatch vs serial dispatch, thread counts
- * {0, 1, 4}: multi-block ragged batches (block > 2 * kPipelineBlock,
- * not a multiple of it) with the 5'000-access reconfigInterval firing
- * automatic control steps inside every batch. The pipelined path must
- * be bit-exact with the serial scatter-then-wait path AND with the
+ * Threaded vs inline dispatch, thread counts {0, 1, 4}: large ragged
+ * batches (> 2 * kBlock, not a multiple of it) with the 5'000-access
+ * reconfigInterval firing automatic control steps inside every batch.
+ * The engine must be bit-exact with the inline engine AND with the
  * hand-built serial reference.
  */
-class ShardedPipelineDeterminism
+class ShardedLargeBatchDeterminism
     : public ::testing::TestWithParam<uint32_t>
 {
 };
 
-TEST_P(ShardedPipelineDeterminism, PipelinedMatchesSerialDispatch)
+TEST_P(ShardedLargeBatchDeterminism, ThreadedMatchesInlineDispatch)
 {
     const uint32_t threads = GetParam();
     const std::vector<Addr> addrs = mixedTrace(60'000, 1511);
-    const size_t block =
-        2 * ShardedTalusCache::kPipelineBlock + 1237;
-    const ShardTrace pipelined =
-        runSharded(pipelineConfig(4, threads, true), addrs, block);
-    const ShardTrace serial =
-        runSharded(pipelineConfig(4, threads, false), addrs, block);
-    expectTracesEqual(pipelined, serial);
+    const size_t block = 2 * kBlock + 1237;
+    const ShardTrace sharded =
+        runSharded(engineConfig(4, threads), addrs, block);
+    const ShardTrace inline_run =
+        runSharded(engineConfig(4, 0), addrs, block);
+    expectTracesEqual(sharded, inline_run);
     const ShardTrace reference =
-        runHandBuilt(pipelineConfig(4, threads, true), addrs, block);
-    expectTracesEqual(pipelined, reference);
+        runHandBuilt(engineConfig(4, threads), addrs, block);
+    expectTracesEqual(sharded, reference);
 }
 
-INSTANTIATE_TEST_SUITE_P(ThreadCounts, ShardedPipelineDeterminism,
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, ShardedLargeBatchDeterminism,
                          ::testing::Values(0u, 1u, 4u));
 
-TEST(ShardedCache, PipelinedRaggedAndEmptyBatchesStayExact)
+TEST(ShardedCache, RaggedAndEmptyBatchesStayExact)
 {
-    // Batch lengths straddling the kPipelineBlock boundary — empty,
-    // a single address, exactly one block (unpipelined by design),
-    // one block plus one (the smallest pipelined batch), whole
+    // Batch lengths straddling the kBlock boundary — empty, a single
+    // address, exactly one block, one block plus one, whole
     // multiples, and ragged multi-block sizes — driven in sequence
-    // through a pipelined threaded engine and a serial inline one.
+    // through a threaded engine and an inline one.
     const std::vector<Addr> addrs = mixedTrace(45'000, 1607);
-    const uint64_t kB = ShardedTalusCache::kPipelineBlock;
-    const std::vector<uint64_t> lens = {0,      1,           kB,
-                                        kB + 1, 3 * kB,      5,
-                                        2 * kB + 777, 4 * kB};
+    const std::vector<uint64_t> lens = {0, 1, kBlock, kBlock + 1,
+                                        3 * kBlock, 5,
+                                        2 * kBlock + 777, 4 * kBlock};
     for (uint32_t threads : {1u, 4u}) {
-        ShardedTalusCache on(pipelineConfig(4, threads, true));
-        ShardedTalusCache off(pipelineConfig(4, 0, false));
+        ShardedTalusCache on(engineConfig(4, threads));
+        ShardedTalusCache off(engineConfig(4, 0));
         size_t pos = 0;
         for (uint64_t len : lens) {
             len = std::min<uint64_t>(len, addrs.size() - pos);
@@ -541,13 +529,13 @@ TEST(ShardedCache, PipelinedRaggedAndEmptyBatchesStayExact)
     }
 }
 
-TEST(ShardedCache, PipelinedSingleHotShardLeavesOthersEmpty)
+TEST(ShardedCache, SingleHotShardLeavesOthersEmpty)
 {
     // Every address routes to one shard, so 7 of 8 shards get no task
-    // in any pipeline block: the skip-empty-shard task building and
-    // the gather-only-touched-slots accounting are both on trial
-    // across block boundaries.
-    ShardedTalusCache probe(pipelineConfig(8, 0, true));
+    // in any batch: the skip-empty-shard task building and the
+    // gather-only-touched-slots accounting are both on trial across
+    // batch boundaries.
+    ShardedTalusCache probe(engineConfig(8, 0));
     const ShardRouter& router = probe.router();
     Rng rng(1709);
     std::vector<Addr> hot;
@@ -556,27 +544,26 @@ TEST(ShardedCache, PipelinedSingleHotShardLeavesOthersEmpty)
         if (router.route(a) == 3)
             hot.push_back(a);
     }
-    const ShardTrace pipelined =
-        runSharded(pipelineConfig(8, 3, true), hot, 9419);
+    const ShardTrace sharded =
+        runSharded(engineConfig(8, 3), hot, 9419);
     const ShardTrace reference =
-        runHandBuilt(pipelineConfig(8, 3, true), hot, 9419);
-    expectTracesEqual(pipelined, reference);
+        runHandBuilt(engineConfig(8, 3), hot, 9419);
+    expectTracesEqual(sharded, reference);
 }
 
-TEST(ShardedCache, PipelinedEpochDeferredReconfigStaysExact)
+TEST(ShardedCache, LargeBatchEpochDeferredReconfigStaysExact)
 {
-    // Epoch-deferred control steps computed between multi-block
-    // pipelined batches but applied mid-stream at fixed per-shard
-    // access counts — so applications land inside later pipeline
-    // blocks. Pipeline on/off and thread counts must all agree.
-    ShardedTalusCache::Config base = pipelineConfig(4, 0, false);
+    // Epoch-deferred control steps computed between large batches
+    // but applied mid-stream at fixed per-shard access counts — so
+    // applications land inside later batches. Thread counts must all
+    // agree.
+    ShardedTalusCache::Config base = engineConfig(4, 0);
     base.shard.reconfigInterval = 0;
     const std::vector<Addr> addrs = mixedTrace(45'000, 1801);
 
-    auto run = [&](uint32_t threads, bool pipeline) {
+    auto run = [&](uint32_t threads) {
         ShardedTalusCache::Config cfg = base;
         cfg.threads = threads;
-        cfg.pipelineDispatch = pipeline;
         ShardedTalusCache engine(cfg);
         for (size_t off = 0; off < addrs.size(); off += 13'000) {
             const size_t n =
@@ -594,11 +581,9 @@ TEST(ShardedCache, PipelinedEpochDeferredReconfigStaysExact)
         return fingerprint;
     };
 
-    const std::vector<uint64_t> reference = run(0, false);
-    EXPECT_EQ(run(0, true), reference);
-    EXPECT_EQ(run(1, true), reference);
-    EXPECT_EQ(run(4, true), reference);
-    EXPECT_EQ(run(4, false), reference);
+    const std::vector<uint64_t> reference = run(0);
+    EXPECT_EQ(run(1), reference);
+    EXPECT_EQ(run(4), reference);
 }
 
 TEST(ShardedCache, MissRatioAndStatsShareResetWindows)
